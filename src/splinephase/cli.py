@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import Optional
 
 from . import jsonio
-from .bspline import as_fraction
 from .frames import (
     almost_pr_by_criterion,
     is_almost_phase_retrievable,
@@ -69,7 +68,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     if args.mode == "global":
         if not isinstance(point_set, PeriodicSetDescriptor):
             raise _InputError("mode 'global' requires a periodic set descriptor")
-        report = is_global_phaseless(point_set, args.m)
+        certifier = is_global_phaseless
     else:
         if not isinstance(point_set, SampleSet):
             raise _InputError("mode %r requires a sample set" % args.mode)
@@ -78,7 +77,10 @@ def cmd_certify(args: argparse.Namespace) -> int:
             "almost": is_almost_phaseless,
             "phaseless": is_local_phaseless,
         }[args.mode]
+    try:
         report = certifier(point_set, args.m)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
     _emit(jsonio.encode_certificate(report))
     return 0 if report.verdict else 1
 
@@ -185,9 +187,9 @@ def _gen_arithmetic(args) -> PeriodicSetDescriptor:
     if args.alpha is None:
         raise _InputError("arithmetic family needs --alpha (and optional --beta)")
     try:
-        alpha = as_fraction(args.alpha)
-        beta = as_fraction(args.beta if args.beta is not None else 0)
-    except (TypeError, ValueError) as exc:
+        alpha = jsonio.fraction_from_json(args.alpha)
+        beta = jsonio.fraction_from_json(args.beta if args.beta is not None else 0)
+    except ValueError as exc:
         raise _InputError(str(exc)) from exc
     if alpha <= 0 or beta < 0:
         raise _InputError("arithmetic family needs alpha > 0 and beta >= 0")
@@ -280,6 +282,8 @@ def main(argv: Optional[list] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "m", None) is not None and args.m < 1:
+            raise _InputError("--m must be at least 1, got %d" % args.m)
         return args.func(args)
     except _InputError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -11,8 +11,10 @@ parameters.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .bspline import as_fraction, check_degree
@@ -188,10 +190,39 @@ class CertificateReport:
 
 PointSet = Union[SampleSet, PeriodicSetDescriptor]
 
+# Largest number of integer points one window scan may cover.  A scan
+# holds a few Python ints per point (about 130 bytes), so this bounds its
+# memory near 300 MB; wider scans raise ValueError.
+MAX_SCAN_WIDTH = 2**21
+
 
 # ---------------------------------------------------------------------------
 # Counting
 # ---------------------------------------------------------------------------
+#
+# One primitive: the number of points below t.  Every interval count is a
+# difference of two such numbers, #(E in (a, b)) = below(b) - upto(a), and
+# the window scans read them at every integer point of the scan range at
+# once (``_grid_counts``).
+
+
+def _below(point_set: PointSet, t, closed: bool) -> int:
+    """#{x in E : x < t}, or #{x <= t} when ``closed``.
+
+    On a descriptor the count runs from a fixed origin and may be
+    negative; only the difference of two values is a point count.
+    """
+    if isinstance(point_set, SampleSet):
+        return (bisect_right if closed else bisect_left)(point_set.points, t)
+    P = point_set.period
+    if closed:
+        total = sum((t - off) // P + 1 for off in point_set.offsets)
+    else:
+        total = sum(-((off - t) // P) for off in point_set.offsets)
+    for op, p in point_set.edits:
+        if p < t or (closed and p == t):
+            total += 1 if op == "add" else -1
+    return total
 
 
 def count(point_set: PointSet, lo, hi, *, include_lo: bool, include_hi: bool):
@@ -201,83 +232,80 @@ def count(point_set: PointSet, lo, hi, *, include_lo: bool, include_hi: bool):
     result is then ``math.inf`` whenever the periodic part is nonempty,
     and an exact int in every other case.
     """
-    if isinstance(point_set, SampleSet):
-        if lo is None or hi is None:
-            raise ValueError("finite sample sets require finite interval endpoints")
-        return _count_sorted(point_set.points, as_fraction(lo), as_fraction(hi), include_lo, include_hi)
-    if isinstance(point_set, PeriodicSetDescriptor):
-        return _count_descriptor(point_set, lo, hi, include_lo, include_hi)
-    raise TypeError("expected a SampleSet or PeriodicSetDescriptor")
-
-
-def _count_sorted(points, lo, hi, include_lo: bool, include_hi: bool) -> int:
-    if hi < lo or (hi == lo and not (include_lo and include_hi)):
-        return 0
-    total = 0
-    for x in points:
-        if (x > lo or (include_lo and x == lo)) and (x < hi or (include_hi and x == hi)):
-            total += 1
-    return total
-
-
-def _count_periodic_offsets(desc: PeriodicSetDescriptor, lo, hi, include_lo, include_hi) -> int:
-    # Points k*period + off inside the interval, exact floor/ceil arithmetic.
-    total = 0
-    P = desc.period
-    for off in desc.offsets:
-        a = Fraction(lo - off, P)
-        b = Fraction(hi - off, P)
-        k_min = math.ceil(a) if include_lo else math.floor(a) + 1
-        k_max = math.floor(b) if include_hi else math.ceil(b) - 1
-        if k_max >= k_min:
-            total += k_max - k_min + 1
-    return total
-
-
-def _count_descriptor(desc, lo, hi, include_lo, include_hi):
+    if not isinstance(point_set, (SampleSet, PeriodicSetDescriptor)):
+        raise TypeError("expected a SampleSet or PeriodicSetDescriptor")
     if lo is None or hi is None:
-        if desc.offsets:
+        if isinstance(point_set, SampleSet):
+            raise ValueError("finite sample sets require finite interval endpoints")
+        if point_set.offsets:
             return math.inf
-        lo_f = None if lo is None else as_fraction(lo)
-        hi_f = None if hi is None else as_fraction(hi)
-        total = 0
-        for op, p in desc.edits:
-            if op != "add":
-                continue
-            if lo_f is not None and (p < lo_f or (p == lo_f and not include_lo)):
-                continue
-            if hi_f is not None and (p > hi_f or (p == hi_f and not include_hi)):
-                continue
-            total += 1
-        return total
-    lo = as_fraction(lo)
-    hi = as_fraction(hi)
-    if hi < lo or (hi == lo and not (include_lo and include_hi)):
-        return 0
-    total = _count_periodic_offsets(desc, lo, hi, include_lo, include_hi)
-    for op, p in desc.edits:
-        inside = (p > lo or (include_lo and p == lo)) and (p < hi or (include_hi and p == hi))
-        if inside:
-            total += 1 if op == "add" else -1
-    return total
+    # Without periodic points a descriptor counts only its added points,
+    # none of which lies below an unbounded lower end.
+    lower = 0 if lo is None else _below(point_set, as_fraction(lo), not include_lo)
+    if hi is None:
+        upper = sum(op == "add" for op, _ in point_set.edits)
+    else:
+        upper = _below(point_set, as_fraction(hi), include_hi)
+    return max(0, upper - lower)
 
 
-def _c_open(E: PointSet, a, b):
-    return count(E, a, b, include_lo=False, include_hi=False)
+def _residue_counts(desc: PeriodicSetDescriptor) -> Tuple[List[int], List[int]]:
+    """Periodic points at t and strictly inside (t, t + 1), for each t mod P."""
+    at = [0] * desc.period
+    inside = [0] * desc.period
+    for off in desc.offsets:
+        (at if off.denominator == 1 else inside)[math.floor(off)] += 1
+    return at, inside
 
 
-def _c_closed(E: PointSet, a, b):
-    return count(E, a, b, include_lo=True, include_hi=True)
+def _grid_counts(point_set: PointSet, lo: int, hi: int) -> Tuple[List[int], List[int]]:
+    """``_below`` at every integer t = lo..hi: the lists (open, closed).
+
+    One pass over the points at each t and strictly inside each (t, t + 1):
+    O(hi - lo + |E|) on a sample set, and O(hi - lo + P + |offsets| +
+    |edits|) on a descriptor, whose periodic counts depend only on t mod P.
+    """
+    n = hi - lo + 1
+    if n > MAX_SCAN_WIDTH:
+        raise ValueError(
+            "scan over [%d, %d] exceeds %d integer points" % (lo, hi, MAX_SCAN_WIDTH)
+        )
+    if isinstance(point_set, SampleSet):
+        steps = [0] * (2 * n)
+        marks = [(x, 1) for x in point_set.points]
+    else:
+        at, inside = _residue_counts(point_set)
+        P = point_set.period
+        pattern = [c for pair in zip(at, inside) for c in pair]
+        shift = 2 * (lo % P)
+        pattern = pattern[shift:] + pattern[:shift]
+        steps = (pattern * (n // P + 1))[: 2 * n]
+        marks = [(p, 1 if op == "add" else -1) for op, p in point_set.edits]
+    for x, sign in marks:
+        i = x.numerator // x.denominator - lo
+        if 0 <= i < n:
+            steps[2 * i + (x.denominator != 1)] += sign
+    cumulative = list(accumulate(steps, initial=_below(point_set, lo, False)))
+    return cumulative[0 : 2 * n : 2], cumulative[1::2]
 
 
-def _c_left_closed(E: PointSet, a, b):
-    """Count over [a, b)."""
-    return count(E, a, b, include_lo=True, include_hi=False)
+def _first_deficit(below, upto, slope: int, intercept: int) -> Optional[Tuple[int, int]]:
+    """Lexicographically first (i, j) with below[j] - upto[i] < r, r >= 1.
 
-
-def _c_right_closed(E: PointSet, a, b):
-    """Count over (a, b]."""
-    return count(E, a, b, include_lo=False, include_hi=True)
+    The requirement r = slope * (j - i) + intercept is linear in the
+    width, so the condition reads g[j] < upto[i] - slope * i + intercept
+    with g[j] = below[j] - slope * j: one suffix-minimum pass over g
+    answers it for every i, in O(len(below)).
+    """
+    n = len(below)
+    min_width = max(1, -((intercept - 1) // slope))
+    g = [below[j] - slope * j for j in range(n)]
+    suffix_min = list(accumulate(reversed(g), min))[::-1]
+    for i in range(n - min_width):
+        bound = upto[i] - slope * i + intercept
+        if suffix_min[i + min_width] < bound:
+            return i, next(j for j in range(i + min_width, n) if g[j] < bound)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +314,12 @@ def _c_right_closed(E: PointSet, a, b):
 #
 # Each certifier checks a family of count lower bounds over the window
 # [n1, n2] and reports the first failure in the fixed order: cardinality,
-# interior windows (lexicographic), left prefixes, right suffixes.
+# interior windows (lexicographic), left prefixes, right suffixes.  Every
+# bound is linear in the width of its window, given as (slope, intercept);
+# one grid of prefix counts answers all of them in O(w + |E|).
 
 
-def _run_window_checks(E: SampleSet, m: int, cardinality, interior, prefix, suffix) -> CertificateReport:
+def _run_window_checks(E: SampleSet, cardinality: int, interior, boundary) -> CertificateReport:
     n1, n2 = E.window
     width = n2 - n1
 
@@ -298,26 +328,26 @@ def _run_window_checks(E: SampleSet, m: int, cardinality, interior, prefix, suff
         return CertificateReport(
             False, Violation("cardinality", {}, observed, cardinality)
         )
-    for a in range(n1, n2):
-        for b in range(a + 1, n2 + 1):
-            required = interior(b - a)
-            if required <= 0:
-                continue
-            got = _c_open(E, a, b)
-            if got < required:
-                return CertificateReport(
-                    False, Violation("interior", {"n1": a, "n2": b}, got, required)
-                )
+    below, upto = _grid_counts(E, n1, n2)
+    hit = _first_deficit(below, upto, *interior)
+    if hit is not None:
+        a, b = hit
+        slope, intercept = interior
+        got, required = below[b] - upto[a], slope * (b - a) + intercept
+        return CertificateReport(
+            False, Violation("interior", {"n1": n1 + a, "n2": n1 + b}, got, required)
+        )
+    slope, intercept = boundary
     for k in range(1, width + 1):
-        required = prefix(k)
-        got = _c_left_closed(E, n1, n1 + k)
+        required = slope * k + intercept
+        got = below[k] - below[0]
         if got < required:
             return CertificateReport(
                 False, Violation("left_prefix", {"k": k}, got, required)
             )
     for k in range(1, width + 1):
-        required = suffix(k)
-        got = _c_right_closed(E, n2 - k, n2)
+        required = slope * k + intercept
+        got = upto[width] - upto[width - k]
         if got < required:
             return CertificateReport(
                 False, Violation("right_suffix", {"k": k}, got, required)
@@ -331,36 +361,23 @@ def is_local_sampling(E: SampleSet, m: int) -> CertificateReport:
     Conditions, for the window [n1, n2] of width w: at least w + m points
     in total, at least k points in each prefix [n1, n1+k) and suffix
     (n2-k, n2], and at least b - a - m points strictly inside every
-    integer subwindow (a, b).
+    integer subwindow (a, b).  Cost O(w + |E|).
     """
     check_degree(m)
     width = E.window[1] - E.window[0]
-    return _run_window_checks(
-        E,
-        m,
-        cardinality=width + m,
-        interior=lambda w: w - m,
-        prefix=lambda k: k,
-        suffix=lambda k: k,
-    )
+    return _run_window_checks(E, width + m, interior=(1, -m), boundary=(1, 0))
 
 
 def is_almost_phaseless(E: SampleSet, m: int) -> CertificateReport:
     """Certify recovery up to sign of all windowed splines outside a null set.
 
     Same shape as the sampling conditions with every bound raised by one,
-    except the interior bound which becomes b - a - m + 1.
+    except the interior bound which becomes b - a - m + 1.  Cost
+    O(w + |E|).
     """
     check_degree(m)
     width = E.window[1] - E.window[0]
-    return _run_window_checks(
-        E,
-        m,
-        cardinality=width + m + 1,
-        interior=lambda w: w - m + 1,
-        prefix=lambda k: k + 1,
-        suffix=lambda k: k + 1,
-    )
+    return _run_window_checks(E, width + m + 1, interior=(1, 1 - m), boundary=(1, 1))
 
 
 def is_local_phaseless(E: SampleSet, m: int) -> CertificateReport:
@@ -368,32 +385,16 @@ def is_local_phaseless(E: SampleSet, m: int) -> CertificateReport:
 
     Conditions: at least 2(w + m) - 1 points in total, 2k + m - 1 in each
     boundary prefix/suffix of width k, and 2(b - a) - 1 strictly inside
-    every integer subwindow (a, b).
+    every integer subwindow (a, b).  Cost O(w + |E|).
     """
     check_degree(m)
     width = E.window[1] - E.window[0]
-    return _run_window_checks(
-        E,
-        m,
-        cardinality=2 * (width + m) - 1,
-        interior=lambda w: 2 * w - 1,
-        prefix=lambda k: 2 * k + m - 1,
-        suffix=lambda k: 2 * k + m - 1,
-    )
+    return _run_window_checks(E, 2 * (width + m) - 1, interior=(2, -1), boundary=(2, m - 1))
 
 
 # ---------------------------------------------------------------------------
 # Global certifier
 # ---------------------------------------------------------------------------
-
-
-def _pure_closed_count(desc: PeriodicSetDescriptor, lo, hi) -> int:
-    """Closed-interval count against the periodic part alone (edits ignored)."""
-    return _count_periodic_offsets(desc, as_fraction(lo), as_fraction(hi), True, True)
-
-
-def _pure_open_count(desc: PeriodicSetDescriptor, lo, hi) -> int:
-    return _count_periodic_offsets(desc, as_fraction(lo), as_fraction(hi), False, False)
 
 
 def _scan_bounds(desc: PeriodicSetDescriptor) -> Tuple[int, int]:
@@ -402,46 +403,28 @@ def _scan_bounds(desc: PeriodicSetDescriptor) -> Tuple[int, int]:
     return lo - 2 * P - 2, hi + 2 * P + 2
 
 
-def _find_density_violation(desc: PeriodicSetDescriptor, start: int) -> Tuple[int, int, int, int]:
-    # Per-period density below 2 forces arbitrarily deep interior deficits;
-    # widen until one is found (termination is guaranteed by the deficit).
-    b = start + 1
-    while True:
-        got = _c_open(desc, start, b)
-        required = 2 * (b - start) - 1
-        if got < required:
-            return start, b, got, required
-        b += 1
-
-
 def _p1_violation(desc: PeriodicSetDescriptor) -> Optional[Violation]:
     lo, hi = _scan_bounds(desc)
-    for a in range(lo, hi):
-        for b in range(a + 1, hi + 1):
-            got = _c_open(desc, a, b)
-            required = 2 * (b - a) - 1
-            if got < required:
-                return Violation("P1", {"n1": a, "n2": b}, got, required)
-    delta = desc.per_period_count() - 2 * desc.period
-    if delta < 0:
-        a, b, got, required = _find_density_violation(desc, hi)
-        return Violation("P1", {"n1": a, "n2": b}, got, required)
+    below, upto = _grid_counts(desc, lo, hi)
+    hit = _first_deficit(below, upto, 2, -1)
+    if hit is not None:
+        a, b = hit
+        return Violation("P1", {"n1": lo + a, "n2": lo + b}, below[b] - upto[a], 2 * (b - a) - 1)
+    # Per-period density below two needs no wider search: the window
+    # (lo, lo + 2P) lies in the periodic tail and holds at most 2(2P - 1)
+    # points, short of the 4P - 1 required, so the scan has reported it.
     return None
 
 
 def _max_periodic_excess(desc: PeriodicSetDescriptor) -> int:
-    # Excess of closed windows against the pure periodic pattern.  With
-    # per-period density exactly 2 the excess is periodic in both window
-    # endpoints, so starts in one period and lengths up to one period
-    # exhaust all values.
+    # Largest excess #(E in [a, b]) - 2(b - a) of a closed window against
+    # the pure periodic pattern, which is upto(b) - 2b - (below(a) - 2a).
+    # P2 is reached only at per-period density exactly 2 (P1 fails every
+    # sparser set), where both terms are periodic in their endpoint: one
+    # period of each gives the extremes over all windows.
     P = desc.period
-    best = None
-    for a in range(0, P):
-        for length in range(1, P + 1):
-            excess = _pure_closed_count(desc, a, a + length) - 2 * length
-            if best is None or excess > best:
-                best = excess
-    return best
+    below, upto = _grid_counts(PeriodicSetDescriptor(P, desc.offsets), 0, P - 1)
+    return max(u - 2 * t for t, u in enumerate(upto)) - min(b - 2 * t for t, b in enumerate(below))
 
 
 def _p2_violation(desc: PeriodicSetDescriptor, m: int) -> Optional[Violation]:
@@ -458,32 +441,37 @@ def _p2_violation(desc: PeriodicSetDescriptor, m: int) -> Optional[Violation]:
 def _p2prime_violation(desc: PeriodicSetDescriptor) -> Optional[Violation]:
     lo, hi = _scan_bounds(desc)
     P = desc.period
+    at, inside = _residue_counts(desc)
 
     # A closed unit interval in the periodic tails holds three points for
     # some residue iff it does so for infinitely many on both sides.
-    tail_triples = any(
-        _pure_closed_count(desc, n - 1, n) >= 3 for n in range(0, P)
-    )
-    if tail_triples:
+    if any(at[n - 1] + inside[n - 1] + at[n] >= 3 for n in range(P)):
         return None
 
-    triples = [n for n in range(lo, hi + 1) if _c_closed(desc, n - 1, n) >= 3]
+    below, upto = _grid_counts(desc, lo - 1, hi + 1)
+
+    def closed_unit(n):  # #(E in [n - 1, n])
+        return upto[n - lo + 1] - below[n - lo]
+
+    def open_unit(n):  # #(E in (n, n + 1))
+        return below[n - lo + 2] - upto[n - lo + 1]
+
+    triples = [n for n in range(lo, hi + 1) if closed_unit(n) >= 3]
     if not triples:
         return Violation("P2prime", {"reason": "no unit interval holds three points"}, 0, 1)
 
     first, last = triples[0], triples[-1]
     for n in range(last, hi + 1):
-        got = _c_open(desc, n, n + 1)
+        got = open_unit(n)
         if got != 2:
             return Violation("P2prime", {"n": n, "side": "right"}, got, 2)
     for n in range(lo - 1, first):
-        got = _c_open(desc, n, n + 1)
+        got = open_unit(n)
         if got != 2:
             return Violation("P2prime", {"n": n, "side": "left"}, got, 2)
     for n in range(0, P):
-        got = _pure_open_count(desc, n, n + 1)
-        if got != 2:
-            return Violation("P2prime", {"n": "periodic residue %d" % n, "side": "tail"}, got, 2)
+        if inside[n] != 2:
+            return Violation("P2prime", {"n": "periodic residue %d" % n, "side": "tail"}, inside[n], 2)
     return None
 
 
@@ -494,8 +482,10 @@ def is_global_phaseless(D: PeriodicSetDescriptor, m: int) -> CertificateReport:
     inside every integer window of width w) and, on top of it, the
     two-sided window-excess condition for degrees two and up or the
     triple-point unit-interval pattern for degree one.  The infinite
-    quantifiers are reduced to finite scans around the edit window plus
-    one period of the tails.
+    quantifiers are reduced to finite scans over the edit window widened
+    by two periods and two units on each side.  Cost is linear in that
+    scan width plus P + |offsets| + |edits|; a scan wider than
+    ``MAX_SCAN_WIDTH`` integer points raises ValueError.
     """
     check_degree(m)
     if not isinstance(D, PeriodicSetDescriptor):
@@ -514,7 +504,10 @@ def excess_sup(D: PeriodicSetDescriptor, n0: int, direction: str):
     For ``direction="right"`` this is sup over n > n0 of
     #(E in [n0, n]) - 2(n - n0); for ``"left"`` the mirror image.  The
     value is ``math.inf`` exactly when the per-period point count exceeds
-    twice the period, and an exact int otherwise.
+    twice the period, and an exact int otherwise.  Cost is linear in the
+    distance from n0 across the edit window plus one period, and in
+    P + |offsets| + |edits|; a scan wider than ``MAX_SCAN_WIDTH`` integer
+    points raises ValueError.
     """
     _check_int(n0, "n0")
     if direction not in ("left", "right"):
@@ -526,15 +519,12 @@ def excess_sup(D: PeriodicSetDescriptor, n0: int, direction: str):
     lo, hi = D.edit_window
     if direction == "right":
         stop = max(n0, hi + 1) + P
-        values = (
-            _c_closed(D, n0, n) - 2 * (n - n0) for n in range(n0 + 1, stop + 1)
-        )
-    else:
-        stop = min(n0, lo - 1) - P
-        values = (
-            _c_closed(D, n, n0) - 2 * (n0 - n) for n in range(stop, n0)
-        )
-    return max(values)
+        below, upto = _grid_counts(D, n0, stop)
+        return max(upto[j] - below[0] - 2 * j for j in range(1, len(upto)))
+    stop = min(n0, lo - 1) - P
+    below, upto = _grid_counts(D, stop, n0)
+    last = len(upto) - 1
+    return max(upto[last] - below[j] - 2 * (last - j) for j in range(last))
 
 
 # ---------------------------------------------------------------------------
@@ -570,11 +560,9 @@ def extract_minimal_almost(E: SampleSet, m: int) -> SampleSet:
             else:  # pragma: no cover - impossible while the certificate holds
                 raise RuntimeError("no removable point found")
         else:
-            current = SampleSet(tuple(points), E.window)
+            below, _ = _grid_counts(SampleSet(tuple(points), E.window), n1, n2)
             # slack of the prefix counts: l_k = #(E in [n1, n1+k)) - k - 1
-            slack = [
-                _c_left_closed(current, n1, n1 + k) - k - 1 for k in range(1, width + 1)
-            ]
+            slack = [below[k] - below[0] - k - 1 for k in range(1, width + 1)]
             k0 = width
             for k in range(width, 0, -1):
                 if slack[k - 1] >= 1:
@@ -610,18 +598,17 @@ def _search_sampling(E: SampleSet, a: int, b: int, m: int) -> Tuple[int, int]:
     if is_local_sampling(sub, m).verdict:
         return (a, b)
     width = b - a
+    below, upto = _grid_counts(sub, a, b)
     for k in range(1, width + 1):
-        if _c_left_closed(sub, a, a + k) < k:
+        if below[k] - below[0] < k:
             return _search_sampling(E, a + k, b, m)
     for k in range(1, width + 1):
-        if _c_right_closed(sub, b - k, b) < k:
+        if upto[width] - upto[width - k] < k:
             return _search_sampling(E, a, b - k, m)
-    for lo in range(a, b):
-        for hi in range(lo + 1, b + 1):
-            if hi - lo <= m:
-                continue
-            if _c_open(sub, lo, hi) < hi - lo - m:
-                if lo > a:
-                    return _search_sampling(E, a, lo, m)
-                return _search_sampling(E, hi, b, m)
-    raise AssertionError("certifier and subwindow search disagree")  # pragma: no cover
+    hit = _first_deficit(below, upto, 1, -m)
+    if hit is None:  # pragma: no cover
+        raise AssertionError("certifier and subwindow search disagree")
+    lo, hi = hit
+    if lo > 0:
+        return _search_sampling(E, a, a + lo, m)
+    return _search_sampling(E, a + hi, b, m)

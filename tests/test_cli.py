@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +104,8 @@ class TestGen:
         assert code == 2 and "uniform" in err
         code, _, _ = run_cli(capsys, ["gen", "--family", "arithmetic", "--alpha=-1/3"])
         assert code == 2
+        code, _, err = run_cli(capsys, ["gen", "--family", "arithmetic", "--alpha", "1e-999999999"])
+        assert code == 2 and "exponent" in err
 
 
 class TestPipeline:
@@ -187,3 +193,51 @@ class TestDeterminism:
         _, first, _ = run_cli(capsys, argv)
         _, second, _ = run_cli(capsys, argv)
         assert first == second
+
+
+def run_process(argv, timeout=10):
+    """The CLI in a fresh interpreter, so stderr holds any traceback."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "splinephase.cli", *argv],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--mode", "almost"],
+            ["reconstruct"],
+            ["counterexample"],
+            ["oracle"],
+            ["gen", "--family", "example2", "--n1", "0", "--n2", "4", "--k", "3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("m", ["0", "-1"])
+    def test_degree_below_one_exits_two_without_traceback(self, tmp_path, argv, m):
+        extra = [] if argv[0] == "gen" else ["--input", write_json(tmp_path, "e.json", UNIFORM_6_ON_0_3)]
+        done = run_process(argv + ["--m", m] + extra)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr
+
+    def test_huge_exponent_exits_two_promptly(self, tmp_path):
+        path = tmp_path / "e.json"
+        path.write_text('{"window": [0, 1], "points": [0, 1e-999999999, 1]}', encoding="utf-8")
+        done = run_process(["certify", "--m", "1", "--mode", "sampling", "--input", str(path)], timeout=10)
+        assert done.returncode == 2
+        assert "exponent" in done.stderr and "Traceback" not in done.stderr
+
+    def test_scan_beyond_the_cap_exits_two(self, capsys, tmp_path):
+        from splinephase.sequences import MAX_SCAN_WIDTH
+
+        payload = {"period": 1, "offsets": ["1/4", "3/4"], "edit_window": [0, MAX_SCAN_WIDTH]}
+        path = write_json(tmp_path, "d.json", payload)
+        code, out, err = run_cli(capsys, ["certify", "--m", "1", "--mode", "global", "--input", path])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "exceeds" in err

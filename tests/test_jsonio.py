@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,17 @@ class TestFractions:
             jsonio.fraction_from_json(True)
         with pytest.raises(ValueError):
             jsonio.fraction_from_json("1/0")
+
+    def test_exponents_and_lengths_are_bounded_before_parsing(self):
+        assert jsonio.fraction_from_json("1.5E+3") == 1500
+        assert jsonio.fraction_from_json("1e-%d" % jsonio.MAX_EXPONENT) == F(1, 10**jsonio.MAX_EXPONENT)
+        start = time.perf_counter()
+        for text in ("1e-999999999", "1E+1_000_000_000", "2/3e999999999", "1e%d" % (jsonio.MAX_EXPONENT + 1)):
+            with pytest.raises(ValueError, match="exponent"):
+                jsonio.fraction_from_json(text)
+        with pytest.raises(ValueError, match="longer than"):
+            jsonio.fraction_from_json("1" * (jsonio.MAX_NUMBER_TEXT + 1))
+        assert time.perf_counter() - start < 1.0
 
     def test_output_form(self):
         assert jsonio.fraction_to_json(F(6, 8)) == "3/4"
