@@ -7,6 +7,7 @@ decisions made downstream never depend on a floating-point tolerance.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,11 +23,21 @@ __all__ = [
 ]
 
 
+# Numeric text is bounded before Fraction parses it: the exponent of
+# "1e-999999999" alone would build a billion-digit power of ten.
+MAX_NUMBER_TEXT = 1000
+MAX_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)")
+
+
 def as_fraction(value) -> Fraction:
     """Coerce an int, Fraction or numeric string to an exact Fraction.
 
     Floats are rejected: a binary float like 0.1 is not the rational it
-    looks like, and silently admitting it would break exactness.
+    looks like, and silently admitting it would break exactness.  Text
+    longer than ``MAX_NUMBER_TEXT`` characters, with an exponent beyond
+    ``MAX_EXPONENT`` in magnitude, or that does not parse raises
+    ValueError.
     """
     if isinstance(value, Fraction):
         return value
@@ -35,7 +46,15 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        if len(value) > MAX_NUMBER_TEXT:
+            raise ValueError("rational text longer than %d characters" % MAX_NUMBER_TEXT)
+        exponent = _EXPONENT.search(value)
+        if exponent is not None and abs(int(exponent.group(1).replace("_", ""))) > MAX_EXPONENT:
+            raise ValueError("exponent of %r exceeds %d in magnitude" % (value, MAX_EXPONENT))
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError("cannot parse rational %r" % value) from exc
     if isinstance(value, float):
         raise TypeError(
             "refusing to coerce float %r; pass a Fraction or a 'p/q' string" % value

@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from . import jsonio
+from . import families, jsonio
 from .frames import (
     almost_pr_by_criterion,
     is_almost_phase_retrievable,
@@ -156,56 +156,25 @@ def cmd_frame_check(args: argparse.Namespace) -> int:
     return 0 if verdict else 1
 
 
-def _gen_uniform(args) -> SampleSet:
-    n1, n2, k = args.n1, args.n2, args.k
-    if n1 is None or n2 is None or k is None:
-        raise _InputError("uniform family needs --n1, --n2 and --k")
-    if n1 >= n2 or k < 2:
-        raise _InputError("uniform family needs n1 < n2 and k >= 2")
-    step = Fraction(n2 - n1, k - 1)
-    points = tuple(n1 + step * i for i in range(k))
-    return SampleSet(points, (n1, n2))
-
-
-def _gen_example2(args) -> SampleSet:
-    n1, n2, k, m = args.n1, args.n2, args.k, args.m
-    if n1 is None or n2 is None or k is None or m is None:
-        raise _InputError("example2 family needs --n1, --n2, --k and --m")
-    if n1 >= n2 - 2:
-        raise _InputError("example2 family needs n1 < n2 - 2")
-    if k < 2:
-        raise _InputError("example2 family needs k >= 2")
-    step = Fraction(n2 - n1 - 2, k - 1)
-    interior = [n1 + 1 + step * i for i in range(k)]
-    left = [n1 + Fraction(i, m + 1) for i in range(m + 1)]
-    right = [n2 - Fraction(i, m + 1) for i in range(m + 1)]
-    points = tuple(sorted(set(interior) | set(left) | set(right)))
-    return SampleSet(points, (n1, n2))
-
-
-def _gen_arithmetic(args) -> PeriodicSetDescriptor:
-    if args.alpha is None:
-        raise _InputError("arithmetic family needs --alpha (and optional --beta)")
+def cmd_gen(args: argparse.Namespace) -> int:
     try:
-        alpha = jsonio.fraction_from_json(args.alpha)
-        beta = jsonio.fraction_from_json(args.beta if args.beta is not None else 0)
+        if args.family == "uniform":
+            if args.n1 is None or args.n2 is None or args.k is None:
+                raise _InputError("uniform family needs --n1, --n2 and --k")
+            payload = jsonio.encode_sample_set(families.uniform(args.n1, args.n2, args.k))
+        elif args.family == "example2":
+            if args.n1 is None or args.n2 is None or args.k is None or args.m is None:
+                raise _InputError("example2 family needs --n1, --n2, --k and --m")
+            payload = jsonio.encode_sample_set(families.example2(args.n1, args.n2, args.k, args.m))
+        else:
+            if args.alpha is None:
+                raise _InputError("arithmetic family needs --alpha (and optional --beta)")
+            alpha = jsonio.fraction_from_json(args.alpha)
+            beta = jsonio.fraction_from_json(args.beta if args.beta is not None else 0)
+            payload = jsonio.encode_descriptor(families.arithmetic(alpha, beta))
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
-    if alpha <= 0 or beta < 0:
-        raise _InputError("arithmetic family needs alpha > 0 and beta >= 0")
-    period = alpha.numerator
-    per_period = alpha.denominator
-    offsets = sorted((alpha * i + beta) % period for i in range(per_period))
-    return PeriodicSetDescriptor(period, tuple(offsets))
-
-
-def cmd_gen(args: argparse.Namespace) -> int:
-    if args.family == "uniform":
-        _emit(jsonio.encode_sample_set(_gen_uniform(args)))
-    elif args.family == "example2":
-        _emit(jsonio.encode_sample_set(_gen_example2(args)))
-    else:
-        _emit(jsonio.encode_descriptor(_gen_arithmetic(args)))
+    _emit(payload)
     return 0
 
 

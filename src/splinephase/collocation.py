@@ -1,17 +1,21 @@
 """Collocation matrices of B-spline shifts and exact rational linear algebra.
 
-Matrices are plain tuples of tuples of Fractions.  Rank is computed by
-integer fraction-free elimination (rows are cleared of denominators and
-reduced by gcd as they are combined), null spaces by reduced row echelon
-form over the rationals with deterministic first-nonzero pivoting.
+Matrices are plain tuples of tuples of Fractions.  Rank, null spaces, row
+spaces and the consistency of linear systems all come from one integer
+row echelon form (:class:`_Echelon`): each row is cleared of denominators,
+reduced fraction-free against the pivots before it (Bareiss, Math. Comp.
+22, 1968) and kept primitive, so entries stay small integers and no
+Fraction is built until the reduced row echelon form is read out.  That
+form is unique, which makes every basis derived from it deterministic.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, List, Sequence, Tuple
+from math import gcd, lcm
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .bspline import as_fraction, check_degree, _bspline_value
 from .sequences import SampleSet
@@ -37,86 +41,94 @@ def to_matrix(rows: Iterable[Iterable]) -> Matrix:
     return mat
 
 
-def _integer_rows(mat: Matrix) -> List[List[int]]:
-    rows: List[List[int]] = []
+def _primitive(row: List[int]) -> List[int]:
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
+class _Echelon:
+    """Row echelon form over the integers, grown one row at a time.
+
+    ``rows`` are primitive integer rows in increasing order of their pivot
+    (leading nonzero) column, listed in ``pivots``.  A row list is never
+    changed once stored, so :meth:`copy` shares them.
+    """
+
+    __slots__ = ("rows", "pivots")
+
+    def __init__(self) -> None:
+        self.rows: List[List[int]] = []
+        self.pivots: List[int] = []
+
+    def copy(self) -> "_Echelon":
+        other = _Echelon()
+        other.rows = self.rows[:]
+        other.pivots = self.pivots[:]
+        return other
+
+    def add(self, row: Sequence[Fraction]) -> Optional[int]:
+        """Fold a rational row in; its new pivot column, or None if dependent."""
+        den = lcm(*[v.denominator for v in row])
+        cur = _primitive([v.numerator * (den // v.denominator) for v in row])
+        rows, pivots = self.rows, self.pivots
+        lead = i = 0
+        while True:
+            while lead < len(cur) and not cur[lead]:
+                lead += 1
+            if lead == len(cur):
+                return None
+            i = bisect_left(pivots, lead, i)
+            if i == len(pivots) or pivots[i] != lead:
+                rows.insert(i, cur)
+                pivots.insert(i, lead)
+                return lead
+            # Clear the leading entry against the pivot row of that column.
+            prow = rows[i]
+            g = gcd(prow[lead], cur[lead])
+            p, q = prow[lead] // g, cur[lead] // g
+            cur = _primitive([p * a - q * b for a, b in zip(cur, prow)])
+
+    def reduced(self) -> List[Tuple[Fraction, ...]]:
+        """The reduced row echelon form: pivots 1, zeros above and below them."""
+        rows = self.rows[:]
+        for i in range(len(rows) - 1, 0, -1):
+            pc, prow = self.pivots[i], rows[i]
+            for j in range(i):
+                v = rows[j][pc]
+                if v:
+                    g = gcd(prow[pc], v)
+                    p, q = prow[pc] // g, v // g
+                    rows[j] = _primitive([p * a - q * b for a, b in zip(rows[j], prow)])
+        return [
+            tuple(Fraction(v, row[pc]) for v in row)
+            for row, pc in zip(rows, self.pivots)
+        ]
+
+
+def _echelon(mat: Matrix) -> _Echelon:
+    ech = _Echelon()
     for row in mat:
-        den = 1
-        for v in row:
-            den = den * v.denominator // gcd(den, v.denominator)
-        ints = [int(v.numerator * (den // v.denominator)) for v in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        rows.append(ints)
-    return rows
+        ech.add(row)
+    return ech
 
 
 def exact_rank(matrix) -> int:
     """Rank over the rationals, exact."""
-    mat = to_matrix(matrix)
-    if not mat or not mat[0]:
-        return 0
-    rows = _integer_rows(mat)
-    ncols = len(rows[0])
-    nrows = len(rows)
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, nrows):
-            if rows[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        pval = prow[col]
-        for r in range(rank + 1, nrows):
-            v = rows[r][col]
-            if v == 0:
-                continue
-            other = rows[r]
-            combined = [pval * other[c] - v * prow[c] for c in range(col + 1, ncols)]
-            g = 0
-            for w in combined:
-                g = gcd(g, w)
-            if g > 1:
-                combined = [w // g for w in combined]
-            rows[r] = [0] * (col + 1) + combined
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    return len(_echelon(to_matrix(matrix)).pivots)
 
 
-def _rref(matrix: Matrix) -> Tuple[List[List[Fraction]], List[int]]:
-    rows = [list(row) for row in matrix]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots: List[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if rows[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
+def _kernel(rref: Sequence[Sequence[Fraction]], pivots: Sequence[int], ncols: int) -> List[List[Fraction]]:
+    """One null vector per free column c < ncols: 1 at c, minus column c of the RREF at the pivots."""
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][col]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for row, pc in zip(rref, pivots):
+            vec[pc] = -row[fc]
+        basis.append(vec)
+    return basis
 
 
 def null_space(matrix) -> Tuple[Tuple[Fraction, ...], ...]:
@@ -129,18 +141,19 @@ def null_space(matrix) -> Tuple[Tuple[Fraction, ...], ...]:
     mat = to_matrix(matrix)
     if not mat:
         raise ValueError("null space of an empty matrix is ambiguous; pass at least one row")
-    ncols = len(mat[0])
-    rows, pivots = _rref(mat)
-    free_cols = [c for c in range(ncols) if c not in pivots]
+    ech = _echelon(mat)
     basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
+    for vec in _kernel(ech.reduced(), ech.pivots, len(mat[0])):
         first = next(v for v in vec if v != 0)
         basis.append(tuple(v / first for v in vec))
     return tuple(basis)
+
+
+def _collocation_rows(m: int, window: Tuple[int, int], points: Sequence[Fraction]) -> Matrix:
+    """One row per point x: the values B_m(x - n) at the shifts n = n1 - m .. n2 - 1."""
+    n1, n2 = window
+    shifts = range(n1 - m, n2)
+    return tuple(tuple(_bspline_value(m, x - n) for n in shifts) for x in points)
 
 
 @dataclass(frozen=True)
@@ -170,9 +183,8 @@ def build_collocation(E: SampleSet, m: int) -> CollocationMatrix:
     check_degree(m)
     n1, n2 = E.window
     shifts = tuple(range(n1 - m, n2))
-    entries = tuple(
-        tuple(_bspline_value(m, x - n) for x in E.points) for n in shifts
-    )
+    rows = _collocation_rows(m, E.window, E.points)
+    entries = tuple(tuple(row[j] for row in rows) for j in range(len(shifts)))
     return CollocationMatrix(entries, shifts, E.points)
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence, Tuple
 
-from .collocation import Matrix, _rref, exact_rank, null_space, to_matrix
+from .collocation import Matrix, _echelon, exact_rank, null_space, to_matrix
 
 __all__ = [
     "NotAFrameError",
@@ -130,8 +130,7 @@ def is_almost_phase_retrievable(matrix) -> bool:
 
 
 def _canonical_rowspace(matrix: Matrix) -> Tuple[Tuple[Fraction, ...], ...]:
-    rows, pivots = _rref(matrix)
-    return tuple(tuple(row) for row in rows[: len(pivots)])
+    return tuple(_echelon(matrix).reduced())
 
 
 def almost_pr_by_criterion(matrix, criterion: int) -> bool:

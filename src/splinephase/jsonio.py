@@ -8,11 +8,10 @@ literals are decoded through their decimal text so 0.1 means exactly 1/10.
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Tuple
 
-from .bspline import SplineFunction
+from .bspline import SplineFunction, as_fraction
 from .retrieval import CounterexamplePair, RecoveryResult, UnsignedSamples
 from .sequences import CertificateReport, PeriodicSetDescriptor, SampleSet, Violation
 
@@ -37,28 +36,13 @@ __all__ = [
 ]
 
 
-# Numeric text is bounded before Fraction parses it: the exponent of
-# "1e-999999999" alone would build a billion-digit power of ten.
-MAX_NUMBER_TEXT = 1000
-MAX_EXPONENT = 1000
-_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)")
-
-
 def fraction_from_json(value) -> Fraction:
+    """An int or numeric string as a Fraction, under the text bounds of
+    :func:`splinephase.bspline.as_fraction`; anything else raises ValueError."""
     if isinstance(value, bool):
         raise ValueError("expected a rational, got a boolean")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        if len(value) > MAX_NUMBER_TEXT:
-            raise ValueError("rational text longer than %d characters" % MAX_NUMBER_TEXT)
-        exponent = _EXPONENT.search(value)
-        if exponent is not None and abs(int(exponent.group(1).replace("_", ""))) > MAX_EXPONENT:
-            raise ValueError("exponent of %r exceeds %d in magnitude" % (value, MAX_EXPONENT))
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError("cannot parse rational %r" % value) from exc
+    if isinstance(value, (int, str)):
+        return as_fraction(value)
     raise ValueError("expected an int or 'p/q' string, got %r" % (value,))
 
 

@@ -18,8 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .bspline import SplineFunction, as_fraction, check_degree, eval_spline, is_separable, _bspline_value
-from .collocation import null_space
+from .bspline import SplineFunction, as_fraction, check_degree, eval_spline, is_separable
+from .collocation import _collocation_rows, _Echelon, _kernel, null_space
 from .sequences import CertificateReport, SampleSet, Violation, is_local_phaseless
 
 __all__ = [
@@ -93,79 +93,6 @@ class CounterexamplePair:
 
 
 # ---------------------------------------------------------------------------
-# Incremental exact linear systems
-# ---------------------------------------------------------------------------
-
-
-class _Eliminator:
-    """Row-echelon accumulator over the rationals with exact consistency checks."""
-
-    __slots__ = ("ncols", "rows", "rhs", "pivot_cols")
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.rows: List[List[Fraction]] = []
-        self.rhs: List[Fraction] = []
-        self.pivot_cols: List[int] = []
-
-    def copy(self) -> "_Eliminator":
-        other = _Eliminator.__new__(_Eliminator)
-        other.ncols = self.ncols
-        other.rows = [row[:] for row in self.rows]
-        other.rhs = self.rhs[:]
-        other.pivot_cols = self.pivot_cols[:]
-        return other
-
-    def add(self, row: Sequence[Fraction], rhs: Fraction) -> bool:
-        """Fold one equation in; False means the system became inconsistent."""
-        row = list(row)
-        for i, pc in enumerate(self.pivot_cols):
-            if row[pc] != 0:
-                factor = row[pc] / self.rows[i][pc]
-                row = [a - factor * b for a, b in zip(row, self.rows[i])]
-                rhs = rhs - factor * self.rhs[i]
-        pivot = next((c for c in range(self.ncols) if row[c] != 0), None)
-        if pivot is None:
-            return rhs == 0
-        position = next(
-            (i for i, pc in enumerate(self.pivot_cols) if pc > pivot),
-            len(self.pivot_cols),
-        )
-        self.rows.insert(position, row)
-        self.rhs.insert(position, rhs)
-        self.pivot_cols.insert(position, pivot)
-        return True
-
-    def solve(self) -> Tuple[Tuple[Fraction, ...], Tuple[Tuple[Fraction, ...], ...]]:
-        """Particular solution (free coordinates zero) and a null-space basis."""
-        # Back-substitute into reduced form first.
-        rows = [row[:] for row in self.rows]
-        rhs = self.rhs[:]
-        for i in range(len(rows) - 1, -1, -1):
-            pc = self.pivot_cols[i]
-            pv = rows[i][pc]
-            rows[i] = [v / pv for v in rows[i]]
-            rhs[i] = rhs[i] / pv
-            for j in range(i):
-                f = rows[j][pc]
-                if f != 0:
-                    rows[j] = [a - f * b for a, b in zip(rows[j], rows[i])]
-                    rhs[j] = rhs[j] - f * rhs[i]
-        particular = [Fraction(0)] * self.ncols
-        for i, pc in enumerate(self.pivot_cols):
-            particular[pc] = rhs[i]
-        free_cols = [c for c in range(self.ncols) if c not in self.pivot_cols]
-        basis = []
-        for fc in free_cols:
-            vec = [Fraction(0)] * self.ncols
-            vec[fc] = Fraction(1)
-            for i, pc in enumerate(self.pivot_cols):
-                vec[pc] = -rows[i][fc]
-            basis.append(tuple(vec))
-        return tuple(particular), tuple(basis)
-
-
-# ---------------------------------------------------------------------------
 # Reconstruction
 # ---------------------------------------------------------------------------
 
@@ -177,6 +104,16 @@ def _canonical_coeffs(coeffs: Sequence[Fraction]) -> Tuple[Fraction, ...]:
                 return tuple(-v for v in coeffs)
             break
     return tuple(coeffs)
+
+
+def _solve(ech: _Echelon, ncols: int) -> Tuple[Tuple[Fraction, ...], Tuple[Tuple[Fraction, ...], ...]]:
+    """Particular solution (free coordinates zero) and a null-space basis of a
+    consistent system whose rows carry the right-hand side as column ``ncols``."""
+    rref = ech.reduced()
+    particular = [Fraction(0)] * ncols
+    for row, pc in zip(rref, ech.pivots):
+        particular[pc] = row[ncols]
+    return tuple(particular), tuple(tuple(vec) for vec in _kernel(rref, ech.pivots, ncols))
 
 
 def reconstruct(samples: UnsignedSamples, m: int, *, _branch_zero_values: bool = False) -> RecoveryResult:
@@ -196,11 +133,8 @@ def reconstruct(samples: UnsignedSamples, m: int, *, _branch_zero_values: bool =
     check_degree(m)
     E = samples.sample_set
     n1, n2 = E.window
-    shifts = range(n1 - m, n2)
     ncols = (n2 - n1) + m
-    rows = [
-        tuple(_bspline_value(m, x - n) for n in shifts) for x in E.points
-    ]
+    rows = _collocation_rows(m, E.window, E.points)
     values = samples.values
     branching = [
         i for i, y in enumerate(values) if y != 0 or _branch_zero_values
@@ -210,9 +144,9 @@ def reconstruct(samples: UnsignedSamples, m: int, *, _branch_zero_values: bool =
     exact_solutions: List[Tuple[Fraction, ...]] = []
     families: List[Tuple[Tuple[Fraction, ...], Tuple[Tuple[Fraction, ...], ...]]] = []
 
-    def descend(index: int, state: _Eliminator) -> None:
+    def descend(index: int, state: _Echelon) -> None:
         if index == len(values):
-            particular, basis = state.solve()
+            particular, basis = _solve(state, ncols)
             if basis:
                 families.append((particular, basis))
             else:
@@ -225,10 +159,11 @@ def reconstruct(samples: UnsignedSamples, m: int, *, _branch_zero_values: bool =
             signs = (1,)
         for sign in signs:
             branch = state.copy() if len(signs) > 1 else state
-            if branch.add(rows[index], sign * y):
+            # A pivot in the right-hand side column reads 0 = nonzero.
+            if branch.add(rows[index] + (sign * y,)) != ncols:
                 descend(index + 1, branch)
 
-    descend(0, _Eliminator(ncols))
+    descend(0, _Echelon())
 
     def to_spline(coeffs: Sequence[Fraction]) -> SplineFunction:
         return SplineFunction(m, n1 - m, tuple(coeffs), (n1, n2))
@@ -301,9 +236,7 @@ def _cancellation_free_sum(vectors: Sequence[Tuple[Fraction, ...]]) -> Tuple[Fra
 @lru_cache(maxsize=32768)
 def _vanishing_basis(m: int, window: Tuple[int, int], points: Tuple[Fraction, ...]) -> Tuple[Tuple[Fraction, ...], ...]:
     """Basis of coefficient vectors whose windowed spline vanishes on the points."""
-    n1, n2 = window
-    shifts = range(n1 - m, n2)
-    ncols = (n2 - n1) + m
+    ncols = (window[1] - window[0]) + m
     if not points:
         identity = []
         for j in range(ncols):
@@ -311,10 +244,7 @@ def _vanishing_basis(m: int, window: Tuple[int, int], points: Tuple[Fraction, ..
             vec[j] = Fraction(1)
             identity.append(tuple(vec))
         return tuple(identity)
-    equations = tuple(
-        tuple(_bspline_value(m, x - n) for n in shifts) for x in points
-    )
-    return null_space(equations)
+    return null_space(_collocation_rows(m, window, points))
 
 
 @lru_cache(maxsize=32768)

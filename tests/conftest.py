@@ -11,35 +11,15 @@ import random
 from fractions import Fraction
 
 from splinephase import (
-    PeriodicSetDescriptor,
     SampleSet,
     SplineFunction,
     eval_spline,
     is_local_phaseless,
     is_separable,
 )
-
-
-def arithmetic_descriptor(alpha, beta) -> PeriodicSetDescriptor:
-    """Descriptor of the set {n*alpha + beta : n integer} for rational alpha > 0."""
-    alpha = Fraction(alpha)
-    beta = Fraction(beta)
-    period = alpha.numerator
-    offsets = sorted((alpha * i + beta) % period for i in range(alpha.denominator))
-    return PeriodicSetDescriptor(period, tuple(offsets))
-
-
-def uniform_points(n1: int, n2: int, k: int) -> SampleSet:
-    step = Fraction(n2 - n1, k - 1)
-    return SampleSet(tuple(n1 + step * i for i in range(k)), (n1, n2))
-
-
-def example2_points(n1: int, n2: int, k: int, m: int) -> SampleSet:
-    step = Fraction(n2 - n1 - 2, k - 1)
-    interior = [n1 + 1 + step * i for i in range(k)]
-    left = [n1 + Fraction(i, m + 1) for i in range(m + 1)]
-    right = [n2 - Fraction(i, m + 1) for i in range(m + 1)]
-    return SampleSet(tuple(sorted(set(interior) | set(left) | set(right))), (n1, n2))
+from splinephase.families import arithmetic as arithmetic_descriptor
+from splinephase.families import example2 as example2_points
+from splinephase.families import uniform as uniform_points
 
 
 def random_phaseless_set(rng: random.Random, window, m: int) -> SampleSet:

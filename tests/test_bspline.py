@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import splinephase
 from splinephase import SplineFunction, eval_bspline, eval_spline, is_separable
 from splinephase.bspline import as_fraction
 
@@ -151,3 +156,38 @@ class TestSeparability:
             vl, vr = eval_spline(left, x), eval_spline(right, x)
             assert vl + vr == eval_spline(f, x)
             assert vl * vr == 0
+
+
+class TestNumericTextBounds:
+    def test_constructors_refuse_unbounded_text_promptly(self):
+        # The check runs in a child process so the limit is hard: an
+        # unbounded parse sits in C code that no signal here could stop.
+        script = textwrap.dedent("""
+            import time
+            from splinephase import SampleSet, SplineFunction, UnsignedSamples
+            E = SampleSet(("1/2",), (0, 1))
+            builders = {
+                "SampleSet": lambda t: SampleSet((t,), (0, 1)),
+                "SplineFunction": lambda t: SplineFunction(1, 0, (t,)),
+                "UnsignedSamples": lambda t: UnsignedSamples(E, (t,)),
+            }
+            start = time.perf_counter()
+            for name, build in builders.items():
+                for text in ("1e-999999999", "1E+1_000_000_000", "2/3e999999999", "1" * 1001, "1/0", "three"):
+                    try:
+                        build(text)
+                    except ValueError:
+                        continue
+                    raise SystemExit("%s accepted %r" % (name, text[:20]))
+            elapsed = time.perf_counter() - start
+            if elapsed > 1.0:
+                raise SystemExit("refusals took %.2f s" % elapsed)
+        """)
+        src = os.path.dirname(os.path.dirname(splinephase.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=20)
+        assert done.returncode == 0, done.stdout + done.stderr
+
+    def test_bounds_admit_their_limits(self):
+        assert as_fraction("1e-1000") == Fraction(1, 10**1000)
+        assert as_fraction("1" * 1000) == int("1" * 1000)

@@ -45,6 +45,11 @@ class TestBuildCollocation:
         assert mat.col_index == (F(0), F(1))
         assert mat.entries == ((F(1), F(0)), (F(0), F(1)))
 
+    def test_empty_point_set_keeps_one_empty_row_per_shift(self):
+        mat = build_collocation(SampleSet((), (0, 2)), 2)
+        assert mat.row_index == (-2, -1, 0, 1)
+        assert mat.entries == ((), (), (), ())
+
     def test_single_midpoint_column(self):
         mat = build_collocation(SampleSet((F(1, 2),), (0, 1)), 1)
         assert mat.entries == ((F(1, 2),), (F(1, 2),))
