@@ -1,9 +1,20 @@
 """Almost-phase-retrievability of rational frames and spark-type column tests.
 
-A frame is an n x N rational matrix of full row rank whose columns span
+A frame is an n x N rational matrix A of full row rank whose columns span
 R^n.  Recovery up to sign from unsigned inner products is governed by how
-the null space moves under column sign flips; the reference test and the
-cross-check criteria below are all exact rank computations.
+the row space moves under column sign flips D_t: almost every vector is
+determined up to sign exactly when rank [A; A D_t] > n for every pattern t
+other than the identity.  Let A_S keep the columns S where t is +1.  The
+half sum and half difference of the two row blocks are A_S and A_{S^c}
+padded with zero columns, two blocks on disjoint columns, so
+
+    rank [A; A D_t] = rank A_S + rank A_{S^c}
+
+(the complement property of Balan, Casazza and Edidin, "On signal
+reconstruction without phase", ACHA 2006).  The reference test therefore
+reads every pattern off one table of column-subset ranks.  The
+cross-check criteria keep the literal pairwise formulations.  Zero
+columns measure nothing and are dropped before any test.
 """
 
 from __future__ import annotations
@@ -11,9 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, Iterator, Sequence, Tuple
+from math import comb
+from typing import Iterator, List, Sequence, Tuple
 
-from .collocation import Matrix, _echelon, exact_rank, null_space, to_matrix
+from .collocation import Matrix, _echelon, _Echelon, exact_rank, null_space, to_matrix
 
 __all__ = [
     "NotAFrameError",
@@ -85,11 +97,14 @@ def apply_signs(matrix, s: SignPattern) -> Matrix:
     return tuple(tuple(v * sg for v, sg in zip(row, s.signs)) for row in mat)
 
 
-def _stack(a: Matrix, b: Matrix) -> Matrix:
-    return a + b
+def _check_frame(matrix) -> Tuple[Matrix, int]:
+    """The frame with its zero columns dropped, and its dimension n.
 
-
-def _check_frame(matrix) -> Tuple[Matrix, int, int]:
+    A zero column adds nothing to the measurements |<x, a_j>|, so dropping
+    it leaves the question unchanged; kept, it would make every pattern
+    equal to its flip at that column, and every test would fail.  The
+    column cap applies to the matrix as given.
+    """
     mat = to_matrix(matrix)
     n = len(mat)
     if n == 0 or len(mat[0]) == 0:
@@ -99,38 +114,70 @@ def _check_frame(matrix) -> Tuple[Matrix, int, int]:
         raise NotAFrameError("frames of interest live in dimension at least 2")
     if exact_rank(mat) < n:
         raise NotAFrameError("columns do not span: matrix is rank deficient")
-    return mat, n, ncols
-
-
-def _check_cap(ncols: int) -> None:
     if ncols > SIGN_ENUMERATION_CAP:
         raise ValueError(
             "sign-pattern enumeration is capped at %d columns, got %d"
             % (SIGN_ENUMERATION_CAP, ncols)
         )
+    return tuple(zip(*[col for col in zip(*mat) if any(col)])), n
+
+
+def _subset_ranks(mat: Matrix) -> List[int]:
+    """Rank of every column subset, indexed by the mask whose bit j marks column j.
+
+    A depth-first walk extends each subset by one column above its highest,
+    so every entry costs one copy of its parent's echelon and one reduction
+    of a length-n column.
+    """
+    columns = list(zip(*mat))
+    ranks = [0] * (1 << len(columns))
+    stack = [(0, 0, _Echelon())]
+    while stack:
+        mask, start, ech = stack.pop()
+        ranks[mask] = len(ech.pivots)
+        for j in range(start, len(columns)):
+            child = ech.copy()
+            child.add(columns[j])
+            stack.append((mask | 1 << j, j + 1, child))
+    return ranks
 
 
 def is_almost_phase_retrievable(matrix) -> bool:
     """Whether unsigned frame coefficients pin down almost every vector up to sign.
 
     Reference test: for every pair of distinct sign patterns s, s' the rank
-    of the stacked matrix [A D_s; A D_s'] must exceed rank(A D_s).  Since
-    the diagonal sign matrices are involutions, right-multiplying the stack
-    by D_s reduces the pair (s, s') to the single pattern t = s*s', so the
-    enumeration runs over the non-identity patterns once.
+    of the stacked matrix [A D_s; A D_s'] must exceed n = rank(A D_s).
+    Right-multiplying the stack by D_s reduces the pair to the single
+    pattern t = s*s', and with S the columns where t is +1,
+    rank [A; A D_t] = rank A_S + rank A_{S^c}.  The test therefore fails
+    exactly when the columns split into S, holding the first column, and a
+    nonempty rest whose ranks sum to n, and one table of the 2^N
+    column-subset ranks answers every split.
     """
-    mat, n, ncols = _check_frame(matrix)
-    _check_cap(ncols)
-    for t in sign_patterns(ncols):
-        if t.is_identity():
-            continue
-        if exact_rank(_stack(mat, apply_signs(mat, t))) == n:
-            return False
-    return True
+    mat, n = _check_frame(matrix)
+    ranks = _subset_ranks(mat)
+    full = len(ranks) - 1
+    return all(ranks[s] + ranks[full ^ s] > n for s in range(1, full, 2))
 
 
 def _canonical_rowspace(matrix: Matrix) -> Tuple[Tuple[Fraction, ...], ...]:
     return tuple(_echelon(matrix).reduced())
+
+
+def _every_pair_gains_rank(base: Matrix, patterns: Sequence[SignPattern]) -> bool:
+    """Whether rank [B D_s; B D_s'] > rank B D_s for every pair of patterns s before s'.
+
+    The echelon of B D_s is built once per s; each later s' adds its rows to
+    a copy, and the pair passes at the first row that gains a pivot.
+    """
+    signed = [apply_signs(base, s) for s in patterns]
+    for i, left in enumerate(signed):
+        ech = _echelon(left)
+        for right in signed[i + 1:]:
+            trial = ech.copy()
+            if all(trial.add(row) is None for row in right):
+                return False
+    return True
 
 
 def almost_pr_by_criterion(matrix, criterion: int) -> bool:
@@ -143,35 +190,23 @@ def almost_pr_by_criterion(matrix, criterion: int) -> bool:
        range of the transpose.
 
     These exist for cross-checks and the command line; the reference
-    implementation is :func:`is_almost_phase_retrievable`.
+    implementation is :func:`is_almost_phase_retrievable`.  Zero columns
+    are dropped first, as there.
     """
-    mat, n, ncols = _check_frame(matrix)
-    _check_cap(ncols)
-    patterns = list(sign_patterns(ncols))
+    mat, _ = _check_frame(matrix)
+    patterns = list(sign_patterns(len(mat[0])))
 
     if criterion == 2:
-        spaces = [_canonical_rowspace(apply_signs(mat, s)) for s in patterns]
-        return all(a != b for a, b in combinations(spaces, 2))
+        spaces = {_canonical_rowspace(apply_signs(mat, s)) for s in patterns}
+        return len(spaces) == len(patterns)
     if criterion == 3:
-        kernels = [null_space(apply_signs(mat, s)) for s in patterns]
-        return all(a != b for a, b in combinations(kernels, 2))
+        kernels = {null_space(apply_signs(mat, s)) for s in patterns}
+        return len(kernels) == len(patterns)
     if criterion == 4:
-        for s, s_prime in combinations(patterns, 2):
-            left = apply_signs(mat, s)
-            if exact_rank(_stack(left, apply_signs(mat, s_prime))) == exact_rank(left):
-                return False
-        return True
+        return _every_pair_gains_rank(mat, patterns)
     if criterion == 5:
         complement = null_space(mat)  # rows spanning the annihilator of the row space
-        if not complement:
-            return False
-        comp = to_matrix(complement)
-        base_rank = exact_rank(comp)
-        for s, s_prime in combinations(patterns, 2):
-            left = apply_signs(comp, s)
-            if exact_rank(_stack(left, apply_signs(comp, s_prime))) == base_rank:
-                return False
-        return True
+        return bool(complement) and _every_pair_gains_rank(complement, patterns)
     raise ValueError("criterion must be one of 2, 3, 4, 5")
 
 
@@ -190,12 +225,21 @@ def is_weak_full_spark(matrix) -> bool:
 
 
 def is_full_spark(matrix) -> bool:
-    """Whether every maximal square column submatrix is invertible."""
+    """Whether every maximal square column submatrix is invertible.
+
+    That is one rank per n-column subset; like the sign-pattern tests, it
+    refuses to visit more than 2^SIGN_ENUMERATION_CAP column subsets.
+    """
     mat = to_matrix(matrix)
     n = len(mat)
     ncols = len(mat[0]) if mat else 0
     if ncols < n:
         raise ValueError("full spark needs at least as many columns as rows")
+    if comb(ncols, n) > 2 ** SIGN_ENUMERATION_CAP:
+        raise ValueError(
+            "full spark is capped at %d column subsets, got C(%d, %d) = %d"
+            % (2 ** SIGN_ENUMERATION_CAP, ncols, n, comb(ncols, n))
+        )
     for cols in combinations(range(ncols), n):
         sub = tuple(tuple(row[c] for c in cols) for row in mat)
         if exact_rank(sub) != n:

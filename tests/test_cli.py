@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -185,6 +186,14 @@ class TestPipeline:
         code, _, err = run_cli(capsys, ["frame-check", "--criterion", "4", "--input", rank_deficient])
         assert code == 2
 
+    def test_frame_check_drops_zero_columns(self, capsys, tmp_path):
+        # {e1, e2, e1+e2, 0}: the zero column measures nothing.
+        path = write_json(tmp_path, "z.json", {"entries": [["1", "0", "1", "0"], ["0", "1", "1", "0"]]})
+        for criterion in ("2", "3", "4", "5"):
+            code, out, _ = run_cli(capsys, ["frame-check", "--criterion", criterion, "--input", path])
+            assert code == 0, criterion
+            assert json.loads(out)["verdict"] is True
+
 
 class TestDeterminism:
     def test_identical_inputs_identical_bytes(self, capsys, tmp_path):
@@ -232,6 +241,16 @@ class TestInputErrors:
         done = run_process(["certify", "--m", "1", "--mode", "sampling", "--input", str(path)], timeout=10)
         assert done.returncode == 2
         assert "exponent" in done.stderr and "Traceback" not in done.stderr
+
+    def test_full_spark_beyond_the_cap_exits_two_promptly(self, tmp_path):
+        # 12 x 24 would need C(24, 12) = 2,704,156 ranks.
+        entries = [[str((i + 1) ** k) for i in range(24)] for k in range(12)]
+        path = write_json(tmp_path, "m.json", {"entries": entries})
+        start = time.perf_counter()
+        done = run_process(["frame-check", "--criterion", "spark", "--input", path])
+        assert time.perf_counter() - start < 1.0
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
     def test_scan_beyond_the_cap_exits_two(self, capsys, tmp_path):
         from splinephase.sequences import MAX_SCAN_WIDTH

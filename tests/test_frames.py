@@ -98,6 +98,23 @@ class TestAlmostPhaseRetrievable:
         wide = (tuple(F(1) for _ in range(15)), tuple(F(i) for i in range(15)))
         with pytest.raises(ValueError):
             is_almost_phase_retrievable(wide)
+        # The cap counts the columns as given, zero columns included.
+        padded = tuple(row[:14] + (F(0),) for row in wide)
+        with pytest.raises(ValueError):
+            is_almost_phase_retrievable(padded)
+
+    def test_zero_columns_measure_nothing(self):
+        # {e1, e2, e1+e2} is phase retrievable in R^2; a zero column, first
+        # or last, adds no measurement and changes no verdict.
+        for mat in (
+            (FULL_SPARK_2x3[0] + (F(0),), FULL_SPARK_2x3[1] + (F(0),)),
+            ((F(0),) + FULL_SPARK_2x3[0], (F(0),) + FULL_SPARK_2x3[1]),
+        ):
+            assert is_almost_phase_retrievable(mat)
+            for criterion in (2, 3, 4, 5):
+                assert almost_pr_by_criterion(mat, criterion), criterion
+        with_zero = ((F(1), F(0), F(0)), (F(0), F(0), F(1)))
+        assert not is_almost_phase_retrievable(with_zero)
 
     def test_criteria_agree_on_random_frames(self):
         rng = random.Random(201)
@@ -139,6 +156,16 @@ class TestSparkTests:
     def test_full_spark_needs_enough_columns(self):
         with pytest.raises(ValueError):
             is_full_spark(((F(1),), (F(0),)))
+
+    def test_full_spark_subset_cap(self):
+        # C(16, 8) = 12,870 subsets are within 2^14; C(17, 8) = 24,310 are not.
+        # The zero first column fails the first subset at once.
+        def frame(ncols):
+            return tuple((F(0),) + tuple(F(i ** k) for i in range(1, ncols)) for k in range(8))
+
+        assert not is_full_spark(frame(16))
+        with pytest.raises(ValueError):
+            is_full_spark(frame(17))
 
     def test_full_implies_weak(self):
         # only meaningful with redundancy: for square invertible matrices any
