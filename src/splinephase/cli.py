@@ -60,11 +60,7 @@ def _emit(payload) -> None:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    payload = _read_payload(args.input)
-    try:
-        point_set = jsonio.decode_point_input(payload)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
+    point_set = jsonio.decode_point_input(_read_payload(args.input))
     if args.mode == "global":
         if not isinstance(point_set, PeriodicSetDescriptor):
             raise _InputError("mode 'global' requires a periodic set descriptor")
@@ -77,20 +73,15 @@ def cmd_certify(args: argparse.Namespace) -> int:
             "almost": is_almost_phaseless,
             "phaseless": is_local_phaseless,
         }[args.mode]
-    try:
-        report = certifier(point_set, args.m)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
+    report = certifier(point_set, args.m)
     _emit(jsonio.encode_certificate(report))
     return 0 if report.verdict else 1
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
-    payload = _read_payload(args.input)
-    try:
-        samples = jsonio.decode_unsigned_samples(payload)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
+    if args.probes < 0:
+        raise _InputError("--probes must be at least 0, got %d" % args.probes)
+    samples = jsonio.decode_unsigned_samples(_read_payload(args.input))
     result = reconstruct(samples, args.m)
     out = jsonio.encode_recovery(result)
     if args.probes and result.status == "ambiguous":
@@ -108,72 +99,48 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 
 def cmd_counterexample(args: argparse.Namespace) -> int:
-    payload = _read_payload(args.input)
-    try:
-        E = jsonio.decode_sample_set(payload)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
-    try:
-        pair = build_counterexample(E, args.m)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
+    E = jsonio.decode_sample_set(_read_payload(args.input))
+    pair = build_counterexample(E, args.m)
     _emit(jsonio.encode_counterexample(pair))
     return 0
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    payload = _read_payload(args.input)
-    try:
-        E = jsonio.decode_sample_set(payload)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
-    try:
-        verdict = partition_oracle(E, args.m)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
+    E = jsonio.decode_sample_set(_read_payload(args.input))
+    verdict = partition_oracle(E, args.m)
     _emit({"phaseless": verdict})
     return 0 if verdict else 1
 
 
 def cmd_frame_check(args: argparse.Namespace) -> int:
-    payload = _read_payload(args.input)
-    try:
-        matrix = jsonio.decode_matrix(payload)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
-    try:
-        if args.criterion == "spark":
-            verdict = is_full_spark(matrix)
-        elif args.criterion == "weak-spark":
-            verdict = is_weak_full_spark(matrix)
-        elif args.criterion == "4":
-            verdict = is_almost_phase_retrievable(matrix)
-        else:
-            verdict = almost_pr_by_criterion(matrix, int(args.criterion))
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
+    matrix = jsonio.decode_matrix(_read_payload(args.input))
+    if args.criterion == "spark":
+        verdict = is_full_spark(matrix)
+    elif args.criterion == "weak-spark":
+        verdict = is_weak_full_spark(matrix)
+    elif args.criterion == "4":
+        verdict = is_almost_phase_retrievable(matrix)
+    else:
+        verdict = almost_pr_by_criterion(matrix, int(args.criterion))
     _emit({"criterion": args.criterion, "verdict": verdict})
     return 0 if verdict else 1
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    try:
-        if args.family == "uniform":
-            if args.n1 is None or args.n2 is None or args.k is None:
-                raise _InputError("uniform family needs --n1, --n2 and --k")
-            payload = jsonio.encode_sample_set(families.uniform(args.n1, args.n2, args.k))
-        elif args.family == "example2":
-            if args.n1 is None or args.n2 is None or args.k is None or args.m is None:
-                raise _InputError("example2 family needs --n1, --n2, --k and --m")
-            payload = jsonio.encode_sample_set(families.example2(args.n1, args.n2, args.k, args.m))
-        else:
-            if args.alpha is None:
-                raise _InputError("arithmetic family needs --alpha (and optional --beta)")
-            alpha = jsonio.fraction_from_json(args.alpha)
-            beta = jsonio.fraction_from_json(args.beta if args.beta is not None else 0)
-            payload = jsonio.encode_descriptor(families.arithmetic(alpha, beta))
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
+    if args.family == "uniform":
+        if args.n1 is None or args.n2 is None or args.k is None:
+            raise _InputError("uniform family needs --n1, --n2 and --k")
+        payload = jsonio.encode_sample_set(families.uniform(args.n1, args.n2, args.k))
+    elif args.family == "example2":
+        if args.n1 is None or args.n2 is None or args.k is None or args.m is None:
+            raise _InputError("example2 family needs --n1, --n2, --k and --m")
+        payload = jsonio.encode_sample_set(families.example2(args.n1, args.n2, args.k, args.m))
+    else:
+        if args.alpha is None:
+            raise _InputError("arithmetic family needs --alpha (and optional --beta)")
+        alpha = jsonio.fraction_from_json(args.alpha)
+        beta = jsonio.fraction_from_json(args.beta if args.beta is not None else 0)
+        payload = jsonio.encode_descriptor(families.arithmetic(alpha, beta))
     _emit(payload)
     return 0
 
@@ -254,7 +221,7 @@ def main(argv: Optional[list] = None) -> int:
         if getattr(args, "m", None) is not None and args.m < 1:
             raise _InputError("--m must be at least 1, got %d" % args.m)
         return args.func(args)
-    except _InputError as exc:
+    except (_InputError, ValueError) as exc:  # the library refuses bad input with ValueError
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except InternalInconsistencyError as exc:  # pragma: no cover

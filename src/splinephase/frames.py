@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
-from .collocation import Matrix, _echelon, _Echelon, exact_rank, null_space, to_matrix
+from .collocation import Matrix, _echelon, _subset_ranks, exact_rank, null_space, to_matrix
 
 __all__ = [
     "NotAFrameError",
@@ -122,26 +122,6 @@ def _check_frame(matrix) -> Tuple[Matrix, int]:
     return tuple(zip(*[col for col in zip(*mat) if any(col)])), n
 
 
-def _subset_ranks(mat: Matrix) -> List[int]:
-    """Rank of every column subset, indexed by the mask whose bit j marks column j.
-
-    A depth-first walk extends each subset by one column above its highest,
-    so every entry costs one copy of its parent's echelon and one reduction
-    of a length-n column.
-    """
-    columns = list(zip(*mat))
-    ranks = [0] * (1 << len(columns))
-    stack = [(0, 0, _Echelon())]
-    while stack:
-        mask, start, ech = stack.pop()
-        ranks[mask] = len(ech.pivots)
-        for j in range(start, len(columns)):
-            child = ech.copy()
-            child.add(columns[j])
-            stack.append((mask | 1 << j, j + 1, child))
-    return ranks
-
-
 def is_almost_phase_retrievable(matrix) -> bool:
     """Whether unsigned frame coefficients pin down almost every vector up to sign.
 
@@ -155,7 +135,7 @@ def is_almost_phase_retrievable(matrix) -> bool:
     column-subset ranks answers every split.
     """
     mat, n = _check_frame(matrix)
-    ranks = _subset_ranks(mat)
+    ranks = _subset_ranks(list(zip(*mat)), n)
     full = len(ranks) - 1
     return all(ranks[s] + ranks[full ^ s] > n for s in range(1, full, 2))
 

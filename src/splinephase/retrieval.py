@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .bspline import SplineFunction, as_fraction, check_degree, eval_spline, is_separable
-from .collocation import _collocation_rows, _Echelon, _kernel, null_space
+from .collocation import _collocation_rows, _Echelon, _kernel, _subset_ranks, null_space
 from .sequences import CertificateReport, SampleSet, Violation, is_local_phaseless
 
 __all__ = [
@@ -351,23 +351,25 @@ def _scaled_pair(
 # ---------------------------------------------------------------------------
 
 
-def _unordered_partitions(points: Tuple[Fraction, ...]) -> Iterator[Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]]:
-    # Anchoring the smallest point on the first side visits every unordered
-    # split exactly once; the two sides play symmetric roles downstream.
-    if not points:
-        yield (), ()
-        return
-    rest = points[1:]
-    n = len(rest)
-    for bits in range(1 << n):
-        side1 = [points[0]]
-        side2 = []
-        for i, x in enumerate(rest):
-            if (bits >> i) & 1:
-                side1.append(x)
-            else:
-                side2.append(x)
-        yield tuple(side1), tuple(side2)
+def _deficient_splits(E: SampleSet, m: int) -> Iterator[Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]]:
+    """The splits of E in which both halves carry a nonzero vanishing spline.
+
+    Anchoring the smallest point on the first side visits every unordered
+    split once, in ascending order of the first side's point mask; the two
+    sides play symmetric roles downstream.  A half whose collocation rows
+    have full rank w + m has V = 0 and no realizable support, so every
+    skipped split is one :func:`_find_support_violation` rejects.
+    """
+    n1, n2 = E.window
+    width = (n2 - n1) + m
+    ranks = _subset_ranks(_collocation_rows(m, E.window, E.points), width)
+    full = len(ranks) - 1
+    for mask in range(1, full + 1, 2):
+        if ranks[mask] < width and ranks[full ^ mask] < width:
+            yield (
+                tuple(x for j, x in enumerate(E.points) if mask >> j & 1),
+                tuple(x for j, x in enumerate(E.points) if not mask >> j & 1),
+            )
 
 
 def partition_oracle(E: SampleSet, m: int) -> bool:
@@ -377,7 +379,9 @@ def partition_oracle(E: SampleSet, m: int) -> bool:
     half and searches the two vanishing null spaces for a pair of
     realizable supports whose union has no zero-gap of length m+1.  Such a
     pair is exactly a recovery ambiguity between two nonseparable splines,
-    so the oracle returns True when no split admits one.
+    so the oracle returns True when no split admits one.  The split
+    (E, empty) comes first: it refutes every rank-deficient E, the one case
+    in which no split has a full-rank half to prune.
     """
     check_degree(m)
     if len(E) > PARTITION_ORACLE_CAP:
@@ -385,7 +389,9 @@ def partition_oracle(E: SampleSet, m: int) -> bool:
             "partition oracle is capped at %d points, got %d"
             % (PARTITION_ORACLE_CAP, len(E))
         )
-    for side1, side2 in _unordered_partitions(E.points):
+    if _find_support_violation(m, E.window, E.points, ()) is not None:
+        return False
+    for side1, side2 in _deficient_splits(E, m):
         if _find_support_violation(m, E.window, side1, side2) is not None:
             return False
     return True
@@ -427,7 +433,7 @@ def _guided_sides(E: SampleSet, violation: Violation) -> Iterator[Tuple[Fraction
         yield tuple(x for x in pts if x in transversal)
 
 
-def _partition_order(E: SampleSet, violation: Violation) -> Iterator[Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]]:
+def _partition_order(E: SampleSet, m: int, violation: Violation) -> Iterator[Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]]:
     seen = set()
     pts = set(E.points)
     for side in _guided_sides(E, violation):
@@ -438,7 +444,7 @@ def _partition_order(E: SampleSet, violation: Violation) -> Iterator[Tuple[Tuple
         complement = tuple(sorted(pts - set(side)))
         yield side, complement
     exhaustive = sorted(
-        _unordered_partitions(E.points),
+        _deficient_splits(E, m),
         key=lambda pair: (abs(len(pair[0]) - len(pair[1])), pair),
     )
     for side1, side2 in exhaustive:
@@ -453,16 +459,17 @@ def build_counterexample(E: SampleSet, m: int) -> CounterexamplePair:
     """Construct two nonseparable splines that defeat recovery on a failing E.
 
     Requires the phaseless certification to fail.  Splits suggested by the
-    violated condition are tried first, then all splits by increasing size
-    imbalance; the first realizable support pair with a gap-free union
-    yields the pair.  Exhausting the search would contradict the
-    certifier, so that raises :class:`InternalInconsistencyError`.
+    violated condition are tried first, then every split with two
+    rank-deficient halves by increasing size imbalance; the first
+    realizable support pair with a gap-free union yields the pair.
+    Exhausting the search would contradict the certifier, so that raises
+    :class:`InternalInconsistencyError`.
     """
     check_degree(m)
     report = is_local_phaseless(E, m)
     if report.verdict:
         raise ValueError("sample set passes phaseless certification; nothing to refute")
-    for side1, side2 in _partition_order(E, report.violated):
+    for side1, side2 in _partition_order(E, m, report.violated):
         hit = _find_support_violation(m, E.window, side1, side2)
         if hit is None:
             continue

@@ -13,7 +13,9 @@ from fractions import Fraction
 from splinephase import (
     SampleSet,
     SplineFunction,
+    build_collocation,
     eval_spline,
+    exact_rank,
     is_local_phaseless,
     is_separable,
 )
@@ -83,3 +85,29 @@ def canonical_coeffs(coeffs):
     if lead is not None and lead < 0:
         return tuple(-c for c in coeffs)
     return tuple(coeffs)
+
+
+def random_frame(rng: random.Random, n: int, ncols: int):
+    """A full-rank rational frame; some columns repeat or scale earlier ones, some are zero."""
+    while True:
+        cols = []
+        for _ in range(ncols):
+            roll = rng.random()
+            if cols and roll < 0.15:
+                cols.append(rng.choice(cols))
+            elif cols and roll < 0.3:
+                c = Fraction(rng.choice([-3, -2, -1, 2, 3]), rng.randint(1, 3))
+                cols.append(tuple(c * v for v in rng.choice(cols)))
+            elif roll < 0.4:
+                cols.append((Fraction(0),) * n)
+            else:
+                cols.append(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)))
+        mat = tuple(zip(*cols))
+        if exact_rank(mat) == n:
+            return mat
+
+
+def collocation_frame(points, window, m: int):
+    """The collocation matrix of the points, or None when its rows are dependent."""
+    mat = build_collocation(SampleSet(points, window), m).entries
+    return mat if exact_rank(mat) == len(mat) else None

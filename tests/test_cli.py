@@ -235,6 +235,17 @@ class TestInputErrors:
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
         assert "Traceback" not in done.stderr
 
+    @pytest.mark.parametrize("probes", ["-1", "-3"])
+    def test_negative_probe_count_exits_two_without_traceback(self, tmp_path, probes):
+        # An ambiguous recovery, so the probes would be used.
+        payload = {"sample_set": {"window": [0, 1], "points": ["1/2"]}, "values": ["1"]}
+        path = write_json(tmp_path, "s.json", payload)
+        done = run_process(["reconstruct", "--m", "1", "--probes", probes, "--input", path])
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr
+
     def test_huge_exponent_exits_two_promptly(self, tmp_path):
         path = tmp_path / "e.json"
         path.write_text('{"window": [0, 1], "points": [0, 1e-999999999, 1]}', encoding="utf-8")

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import uniform_points
+from conftest import collocation_frame, random_frame, uniform_points
 from splinephase import (
     SampleSet,
     build_collocation,
@@ -18,6 +18,7 @@ from splinephase import (
     null_space,
     schoenberg_whitney,
 )
+from splinephase.collocation import _collocation_rows, _subset_ranks
 
 F = Fraction
 
@@ -174,3 +175,44 @@ class TestSamplingRankBridge:
             mat = build_collocation(E, m)
             assert exact_rank(mat.entries) == width + m
         assert seen >= 10
+
+
+def assert_subset_ranks(vectors, width):
+    ranks = _subset_ranks(vectors, width)
+    assert len(ranks) == 2 ** len(vectors)
+    for mask, rank in enumerate(ranks):
+        subset = [vec for j, vec in enumerate(vectors) if mask >> j & 1]
+        assert rank == exact_rank(subset), (vectors, mask)
+
+
+class TestSubsetRanks:
+    def test_subset_ranks_are_column_submatrix_ranks(self):
+        rng = random.Random(617)
+        frames = [random_frame(rng, n, ncols) for n, ncols in ((2, 4), (3, 5), (3, 6), (4, 6))]
+        frames.append(collocation_frame((F(1, 4), F(1, 2), F(5, 4), F(3, 2), F(7, 4)), (0, 2), 2))
+        for mat in frames:
+            ranks = _subset_ranks(list(zip(*mat)), len(mat))
+            ncols = len(mat[0])
+            assert len(ranks) == 2 ** ncols
+            for mask, rank in enumerate(ranks):
+                cols = [j for j in range(ncols) if mask >> j & 1]
+                assert rank == exact_rank(tuple(tuple(row[j] for j in cols) for row in mat)), (mat, mask)
+
+    def test_collocation_row_subsets(self):
+        rng = random.Random(619)
+        cases = [((F(1, 2), F(3, 2)), (0, 2), 1)]  # two points for three shifts: no leaf
+        for width, m in ((2, 1), (2, 2), (3, 2), (3, 3)):
+            grid = [F(i, 4) for i in range(4 * width + 1)]
+            cases.append((tuple(sorted(rng.sample(grid, 8))), (0, width), m))
+        for points, window, m in cases:
+            assert_subset_ranks(_collocation_rows(m, window, points), window[1] - window[0] + m)
+
+    def test_full_rank_leaves(self):
+        # Rank n is reached by most pairs or triples, so most nodes are
+        # supersets of a full-rank subset.
+        rng = random.Random(621)
+        for n, ncols in ((2, 8), (2, 9), (3, 9)):
+            mat = random_frame(rng, n, ncols)
+            assert_subset_ranks(list(zip(*mat)), n)
+        e1, e2 = (F(1), F(0)), (F(0), F(1))
+        assert_subset_ranks([e1, e2, e1, (F(1), F(1)), e2], 2)

@@ -1,5 +1,5 @@
 """Agreement of the rank-split frame test with the stacked-rank loop in
-``brute_frames``, and of its column-subset rank table with ``exact_rank``.
+``brute_frames``.
 
 The library drops zero columns itself; the reference is handed the frame
 without them."""
@@ -11,8 +11,8 @@ import random
 from fractions import Fraction
 
 import brute_frames as brute
-from splinephase import SampleSet, build_collocation, exact_rank, is_almost_phase_retrievable
-from splinephase.frames import _subset_ranks
+from conftest import collocation_frame, random_frame
+from splinephase import is_almost_phase_retrievable
 
 F = Fraction
 
@@ -25,32 +25,6 @@ def assert_same_verdict(mat):
     got = is_almost_phase_retrievable(mat)
     assert got == brute.is_almost_phase_retrievable(without_zero_columns(mat)), mat
     return got
-
-
-def random_frame(rng, n, ncols):
-    """A full-rank rational frame; some columns repeat or scale earlier ones, some are zero."""
-    while True:
-        cols = []
-        for _ in range(ncols):
-            roll = rng.random()
-            if cols and roll < 0.15:
-                cols.append(rng.choice(cols))
-            elif cols and roll < 0.3:
-                c = F(rng.choice([-3, -2, -1, 2, 3]), rng.randint(1, 3))
-                cols.append(tuple(c * v for v in rng.choice(cols)))
-            elif roll < 0.4:
-                cols.append((F(0),) * n)
-            else:
-                cols.append(tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)))
-        mat = tuple(zip(*cols))
-        if exact_rank(mat) == n:
-            return mat
-
-
-def collocation_frame(points, window, m):
-    """The collocation matrix of the points, or None when its rows are dependent."""
-    mat = build_collocation(SampleSet(points, window), m).entries
-    return mat if exact_rank(mat) == len(mat) else None
 
 
 def test_random_rational_frames():
@@ -90,16 +64,3 @@ def test_wide_quarter_grid_collocation_frames():
             checked += 1
             verdicts.add(assert_same_verdict(mat))
     assert verdicts == {True, False}
-
-
-def test_subset_ranks_are_column_submatrix_ranks():
-    rng = random.Random(617)
-    frames = [random_frame(rng, n, ncols) for n, ncols in ((2, 4), (3, 5), (3, 6), (4, 6))]
-    frames.append(collocation_frame((F(1, 4), F(1, 2), F(5, 4), F(3, 2), F(7, 4)), (0, 2), 2))
-    for mat in frames:
-        ranks = _subset_ranks(mat)
-        ncols = len(mat[0])
-        assert len(ranks) == 2 ** ncols
-        for mask, rank in enumerate(ranks):
-            cols = [j for j in range(ncols) if mask >> j & 1]
-            assert rank == exact_rank(tuple(tuple(row[j] for j in cols) for row in mat)), (mat, mask)

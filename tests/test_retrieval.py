@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -125,6 +126,14 @@ class TestPartitionOracle:
         pts = tuple(F(i, 22) for i in range(21))
         with pytest.raises(ValueError):
             partition_oracle(SampleSet(pts, (0, 1)), 1)
+
+    def test_rank_deficient_set_at_the_cap_is_refuted_promptly(self):
+        # No split of a rank-deficient E has a full-rank half to prune, so
+        # the split (E, empty) must refute it before any table is built.
+        E = SampleSet(tuple(F(i, 8) for i in range(1, 21)), (0, 4))
+        start = time.perf_counter()
+        assert not partition_oracle(E, 1)
+        assert time.perf_counter() - start < 1.0
 
     def test_agreement_on_exhaustive_window_one(self):
         grid = [F(i, 4) for i in range(5)]
