@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 __all__ = [
     "SplineFunction",
@@ -20,6 +20,7 @@ __all__ = [
     "eval_bspline",
     "eval_spline",
     "is_separable",
+    "support_runs",
 ]
 
 
@@ -168,16 +169,28 @@ def eval_spline(f: SplineFunction, x) -> Fraction:
     return total
 
 
+def support_runs(indices: Sequence[int], m: int) -> List[List[int]]:
+    """Split ascending shift indices where consecutive ones sit m+1 or more apart.
+
+    The shift by n vanishes outside (n, n+m+1), so the parts across such a
+    gap have disjoint supports.  A one-unit window holds only m+1 shifts,
+    hence no gap.
+    """
+    runs: List[List[int]] = []
+    for j in indices:
+        if runs and j - runs[-1][-1] <= m:
+            runs[-1].append(j)
+        else:
+            runs.append([j])
+    return runs
+
+
 def is_separable(f: SplineFunction) -> bool:
     """Whether ``f`` splits as f1 + f2, both nonzero, with f1*f2 = 0 on the window.
 
-    Coefficient test: the window spans at least two units and some two
-    consecutive nonzero coefficients sit m+1 or more shifts apart.
+    Coefficient test: the nonzero coefficients fall into more than one
+    :func:`support_runs`, which needs a window of at least two units.
     """
     if f.window is None:
         raise ValueError("separability is defined relative to a restriction window")
-    n1, n2 = f.window
-    if n2 - n1 < 2:
-        return False
-    support = f.support_indices()
-    return any(b - a >= f.m + 1 for a, b in zip(support, support[1:]))
+    return len(support_runs(f.support_indices(), f.m)) > 1

@@ -2,13 +2,19 @@
 and constructive counterexamples for failing sample sets.
 
 The oracle and the counterexample builder share one engine: for a split of
-the samples into two halves, the coefficient vectors vanishing on each half
-form exact rational null spaces, and a recovery ambiguity exists precisely
-when some pair of realizable coefficient supports, one per side, has a
-union with no zero-gap of length m+1.  Scaling one side so its smallest
-nonzero magnitude beats the other's largest (no accidental cancellation)
-turns any such pair of supports into an explicit pair of nonseparable
-splines agreeing in modulus on every sample.
+the samples into two halves, a recovery ambiguity exists precisely when
+some pair of coefficient vectors, one vanishing on each half, has supports
+whose union has no zero-gap of length m+1.  The shift by n touches only
+(n, n+m+1), so a vanishing vector splits at such a gap into two vectors
+that each still vanish on the side.  Every minimal support is therefore
+m-connected, and the generic vector of a side (support equal to the
+maximal support M of its null space), cut to any m-connected run of
+M1 | M2, still vanishes on that side.  A split refutes exactly when some
+run of M1 | M2 meets both M1 and M2, which takes one null space per side.
+A window of one unit holds no gap of m+1, so there any two nonzero spaces
+refute.  Scaling one side so its smallest nonzero magnitude beats the
+other's largest (no accidental cancellation) turns the two cut vectors
+into nonseparable splines agreeing in modulus on every sample.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .bspline import SplineFunction, as_fraction, check_degree, eval_spline, is_separable
+from .bspline import SplineFunction, as_fraction, check_degree, eval_spline, is_separable, support_runs
 from .collocation import _collocation_rows, _Echelon, _kernel, _subset_ranks, null_space
 from .sequences import CertificateReport, SampleSet, Violation, is_local_phaseless
 
@@ -250,58 +256,15 @@ def _vanishing_basis(m: int, window: Tuple[int, int], points: Tuple[Fraction, ..
 @lru_cache(maxsize=32768)
 def _support_analysis(
     m: int, window: Tuple[int, int], points: Tuple[Fraction, ...]
-) -> Tuple[Tuple[int, ...], Dict[int, Tuple[Fraction, ...]]]:
-    """Realizable supports (as bitmasks over the shift range) with witnesses.
-
-    A support S is realizable when some vanishing spline has nonzero
-    coefficients exactly on S; equivalently, the vanishing vectors
-    supported inside S have maximal support equal to S.
-    """
+) -> Optional[Tuple[int, Tuple[Fraction, ...]]]:
+    """Maximal support (a bitmask over the shift range) of the splines
+    vanishing on the points, with a vanishing vector that realizes it, or
+    None when only the zero spline vanishes there."""
     basis = _vanishing_basis(m, window, points)
     if not basis:
-        return (), {}
-    dim = len(basis)
-    ncols = len(basis[0])
-    max_mask = 0
-    for vec in basis:
-        max_mask |= _support_mask(vec)
-    witnesses: Dict[int, Tuple[Fraction, ...]] = {}
-    sub = max_mask
-    while sub:
-        outside = [j for j in range(ncols) if not (sub >> j) & 1]
-        if outside:
-            constraints = tuple(
-                tuple(basis[i][j] for i in range(dim)) for j in outside
-            )
-            lam_basis = null_space(constraints)
-        else:
-            lam_basis = tuple(
-                tuple(Fraction(1 if i == k else 0) for i in range(dim))
-                for k in range(dim)
-            )
-        if lam_basis:
-            vectors = []
-            for lam in lam_basis:
-                vec = [Fraction(0)] * ncols
-                for weight, bvec in zip(lam, basis):
-                    if weight != 0:
-                        vec = [a + weight * b for a, b in zip(vec, bvec)]
-                vectors.append(tuple(vec))
-            union = 0
-            for vec in vectors:
-                union |= _support_mask(vec)
-            if union == sub:
-                witnesses[sub] = _cancellation_free_sum(vectors)
-        sub = (sub - 1) & max_mask
-    return tuple(sorted(witnesses)), witnesses
-
-
-def _union_nonseparable(mask: int, m: int, window: Tuple[int, int]) -> bool:
-    # Windows shorter than two units admit no separable function at all.
-    if window[1] - window[0] < 2:
-        return True
-    indices = [j for j in range(mask.bit_length()) if (mask >> j) & 1]
-    return all(b - a <= m for a, b in zip(indices, indices[1:]))
+        return None
+    generic = _cancellation_free_sum(basis)
+    return _support_mask(generic), generic
 
 
 def _find_support_violation(
@@ -310,16 +273,24 @@ def _find_support_violation(
     side1: Tuple[Fraction, ...],
     side2: Tuple[Fraction, ...],
 ) -> Optional[Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]]:
-    masks1, wit1 = _support_analysis(m, window, side1)
-    if not masks1:
+    """Two vanishing vectors, one per side, with a gap-free union of
+    supports, or None: the generic vectors cut to the first run of M1 | M2
+    that meets both maximal supports (see the module docstring)."""
+    first = _support_analysis(m, window, side1)
+    if first is None:
         return None
-    masks2, wit2 = _support_analysis(m, window, side2)
-    if not masks2:
+    second = _support_analysis(m, window, side2)
+    if second is None:
         return None
-    for s1 in masks1:
-        for s2 in masks2:
-            if _union_nonseparable(s1 | s2, m, window):
-                return wit1[s1], wit2[s2]
+    (mask1, g), (mask2, h) = first, second
+    union = [j for j in range(len(g)) if (mask1 | mask2) >> j & 1]
+    for run in support_runs(union, m):
+        if any(mask1 >> j & 1 for j in run) and any(mask2 >> j & 1 for j in run):
+            lo, hi = run[0], run[-1]
+            return tuple(
+                tuple(v if lo <= j <= hi else Fraction(0) for j, v in enumerate(vec))
+                for vec in (g, h)
+            )
     return None
 
 
@@ -357,8 +328,8 @@ def _deficient_splits(E: SampleSet, m: int) -> Iterator[Tuple[Tuple[Fraction, ..
     Anchoring the smallest point on the first side visits every unordered
     split once, in ascending order of the first side's point mask; the two
     sides play symmetric roles downstream.  A half whose collocation rows
-    have full rank w + m has V = 0 and no realizable support, so every
-    skipped split is one :func:`_find_support_violation` rejects.
+    have full rank w + m has V = 0, so every skipped split is one
+    :func:`_find_support_violation` rejects.
     """
     n1, n2 = E.window
     width = (n2 - n1) + m
@@ -376,8 +347,8 @@ def partition_oracle(E: SampleSet, m: int) -> bool:
     """Definition-level test that E pins down nonseparable splines up to sign.
 
     Enumerates every split of E into a sign-agreement and a sign-reversal
-    half and searches the two vanishing null spaces for a pair of
-    realizable supports whose union has no zero-gap of length m+1.  Such a
+    half and searches the two vanishing null spaces for a pair of vectors
+    whose supports have a union with no zero-gap of length m+1.  Such a
     pair is exactly a recovery ambiguity between two nonseparable splines,
     so the oracle returns True when no split admits one.  The split
     (E, empty) comes first: it refutes every rank-deficient E, the one case
@@ -460,8 +431,8 @@ def build_counterexample(E: SampleSet, m: int) -> CounterexamplePair:
 
     Requires the phaseless certification to fail.  Splits suggested by the
     violated condition are tried first, then every split with two
-    rank-deficient halves by increasing size imbalance; the first
-    realizable support pair with a gap-free union yields the pair.
+    rank-deficient halves by increasing size imbalance; the first split
+    with a pair of vanishing vectors of gap-free union yields the pair.
     Exhausting the search would contradict the certifier, so that raises
     :class:`InternalInconsistencyError`.
     """

@@ -12,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from splinephase.cli import main
+from splinephase import verify_modulus_agreement
+from splinephase.cli import MAX_PROBES, main
+from splinephase.jsonio import decode_spline
 
 F = Fraction
 
@@ -139,6 +141,23 @@ class TestPipeline:
         assert result["status"] == "ambiguous"
         assert "modulus_agreement" in result
 
+    def test_reconstruct_probes_at_the_cap(self, capsys, tmp_path):
+        payload = {"sample_set": {"window": [0, 1], "points": ["1/2"]}, "values": ["1"]}
+        path = write_json(tmp_path, "s.json", payload)
+        code, out, _ = run_cli(
+            capsys, ["reconstruct", "--m", "1", "--probes", str(MAX_PROBES), "--input", path]
+        )
+        assert code == 1
+        result = json.loads(out)
+        solutions = [decode_spline(s) for s in result["solutions"]]
+        probes = [F(j, MAX_PROBES + 1) for j in range(1, MAX_PROBES + 1)]
+        pairwise = all(
+            verify_modulus_agreement(a, b, probes)
+            for i, a in enumerate(solutions)
+            for b in solutions[i + 1:]
+        )
+        assert result["modulus_agreement"] is pairwise
+
     def test_counterexample_on_passing_set_exits_two(self, capsys, tmp_path):
         payload = {"window": [0, 1], "points": [str(F(i, 6)) for i in range(7)]}
         path = write_json(tmp_path, "e.json", payload)
@@ -246,6 +265,15 @@ class TestInputErrors:
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
         assert "Traceback" not in done.stderr
 
+    def test_probe_count_beyond_the_cap_exits_two_promptly(self, tmp_path):
+        payload = {"sample_set": {"window": [0, 1], "points": ["1/2"]}, "values": ["1"]}
+        path = write_json(tmp_path, "s.json", payload)
+        for probes in (str(MAX_PROBES + 1), "1000000000"):
+            done = run_process(["reconstruct", "--m", "1", "--probes", probes, "--input", path])
+            assert done.returncode == 2 and done.stdout == ""
+            assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+            assert str(MAX_PROBES) in done.stderr
+
     def test_huge_exponent_exits_two_promptly(self, tmp_path):
         path = tmp_path / "e.json"
         path.write_text('{"window": [0, 1], "points": [0, 1e-999999999, 1]}', encoding="utf-8")
@@ -271,3 +299,16 @@ class TestInputErrors:
         code, out, err = run_cli(capsys, ["certify", "--m", "1", "--mode", "global", "--input", path])
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "exceeds" in err
+
+
+class TestWideWindows:
+    @pytest.mark.parametrize("command, code", [("oracle", 1), ("counterexample", 0)])
+    def test_three_points_in_forty_units_finish_promptly(self, tmp_path, command, code):
+        # The splines vanishing on three points span 38 of 41 dimensions here, so
+        # the split test must not grow with the subsets of the support.
+        path = write_json(tmp_path, "e.json", {"window": [0, 40], "points": ["1/2", "3/2", "5/2"]})
+        start = time.perf_counter()
+        done = run_process([command, "--m", "1", "--input", path], timeout=5)
+        assert time.perf_counter() - start < 1.0
+        assert done.returncode == code and done.stderr == ""
+        assert json.loads(done.stdout)
