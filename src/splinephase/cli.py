@@ -217,9 +217,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: parse_args leaves the parser unchanged, and argparse looks up
+# sys.stdout and sys.stderr when it prints, not when it is built.
+_PARSER = _build_parser()
+
+
 def main(argv: Optional[list] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if getattr(args, "m", None) is not None and args.m < 1:
             raise _InputError("--m must be at least 1, got %d" % args.m)

@@ -414,6 +414,12 @@ def _partition_order(E: SampleSet, m: int, violation: Violation) -> Iterator[Tup
         seen.add(key)
         complement = tuple(sorted(pts - set(side)))
         yield side, complement
+    # The exhaustive tail ranks all 2^|E| subsets, as the oracle does.
+    if len(E) > PARTITION_ORACLE_CAP:
+        raise ValueError(
+            "counterexample search beyond the guided splits is capped at %d points, got %d"
+            % (PARTITION_ORACLE_CAP, len(E))
+        )
     exhaustive = sorted(
         _deficient_splits(E, m),
         key=lambda pair: (abs(len(pair[0]) - len(pair[1])), pair),
@@ -433,8 +439,9 @@ def build_counterexample(E: SampleSet, m: int) -> CounterexamplePair:
     violated condition are tried first, then every split with two
     rank-deficient halves by increasing size imbalance; the first split
     with a pair of vanishing vectors of gap-free union yields the pair.
-    Exhausting the search would contradict the certifier, so that raises
-    :class:`InternalInconsistencyError`.
+    Past the guided splits, E is held to :data:`PARTITION_ORACLE_CAP` points
+    (``ValueError``).  Exhausting the search would contradict the certifier,
+    so that raises :class:`InternalInconsistencyError`.
     """
     check_degree(m)
     report = is_local_phaseless(E, m)

@@ -23,6 +23,17 @@ from splinephase.families import arithmetic as arithmetic_descriptor
 from splinephase.families import example2 as example2_points
 from splinephase.families import uniform as uniform_points
 
+# Failing sets in window (0, 8) at m = 2, past PARTITION_ORACLE_CAP: no guided
+# split refutes the first, one does the second.
+CAPPED_21 = (
+    "0", "1/2", "1", "5/4", "11/4", "3", "7/2", "15/4", "4", "9/2", "19/4",
+    "5", "11/2", "23/4", "6", "25/4", "13/2", "27/4", "29/4", "15/2", "31/4",
+)
+GUIDED_22 = (
+    "1/2", "3/4", "5/4", "7/4", "9/4", "5/2", "3", "13/4", "7/2", "15/4", "4",
+    "17/4", "9/2", "19/4", "11/2", "23/4", "6", "25/4", "29/4", "15/2", "31/4", "8",
+)
+
 
 def random_phaseless_set(rng: random.Random, window, m: int) -> SampleSet:
     """Random set certified phaseless: two interior points per unit interval

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import CAPPED_21
 from splinephase import verify_modulus_agreement
 from splinephase.cli import MAX_PROBES, main
 from splinephase.jsonio import decode_spline
@@ -233,6 +235,58 @@ def run_process(argv, timeout=10):
     )
 
 
+class TestParserReuse:
+    def test_repeated_calls_in_one_process(self, capsys, tmp_path):
+        path = write_json(tmp_path, "e.json", UNIFORM_6_ON_0_3)
+        matrix = write_json(tmp_path, "m.json", {"entries": [["1", "0", "1"], ["0", "1", "1"]]})
+        certify = ["certify", "--m", "2", "--mode", "almost", "--input", path]
+        # (argv, exit code, whether argparse exits through SystemExit)
+        calls = [
+            (certify, 0, False),
+            (["certify", "--m", "2", "--mode", "bogus", "--input", path], 2, True),
+            (["--help"], 0, True),
+            (["certify", "--m", "1", "--mode", "global", "--input", path], 2, False),
+            (["frame-check", "--input", matrix], 0, False),
+            (["gen", "--family", "uniform", "--n1", "0", "--n2", "3", "--k", "6"], 0, False),
+            (certify, 0, False),
+        ]
+
+        def run(argv, code, exits):
+            if exits:
+                with pytest.raises(SystemExit) as info:
+                    main(argv)
+                assert info.value.code == code
+            else:
+                assert main(argv) == code
+            captured = capsys.readouterr()
+            return captured.out, captured.err
+
+        first = [run(*call) for call in calls]
+        assert first[-1] == first[0]
+        assert first[1][0] == "" and "invalid choice" in first[1][1]
+        assert first[2][0].startswith("usage: splinephase") and first[2][1] == ""
+        assert first[3][0] == "" and first[3][1].startswith("error: ")
+        assert [run(*call) for call in calls] == first
+        done = run_process(certify)
+        assert done.returncode == 0 and (done.stdout, done.stderr) == first[0]
+
+    def test_main_builds_no_parser(self, capsys, monkeypatch, tmp_path):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        path = write_json(tmp_path, "e.json", UNIFORM_6_ON_0_3)
+        assert main(["certify", "--m", "2", "--mode", "almost", "--input", path]) == 0
+        with pytest.raises(SystemExit):
+            main(["certify", "--m", "2", "--input", path])
+        capsys.readouterr()
+        assert built == []
+
+
 class TestInputErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -312,3 +366,16 @@ class TestWideWindows:
         assert time.perf_counter() - start < 1.0
         assert done.returncode == code and done.stderr == ""
         assert json.loads(done.stdout)
+
+
+class TestPointCaps:
+    @pytest.mark.parametrize("command", ["oracle", "counterexample"])
+    def test_twenty_one_points_exit_two_promptly(self, tmp_path, command):
+        # Past PARTITION_ORACLE_CAP, and no guided split refutes the set.
+        path = write_json(tmp_path, "e.json", {"window": [0, 8], "points": list(CAPPED_21)})
+        start = time.perf_counter()
+        done = run_process([command, "--m", "2", "--input", path], timeout=5)
+        assert time.perf_counter() - start < 1.0
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "capped at 20 points, got 21" in done.stderr

@@ -10,6 +10,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    CAPPED_21,
+    GUIDED_22,
     canonical_coeffs,
     random_nonseparable_spline,
     random_phaseless_set,
@@ -190,6 +192,24 @@ class TestBuildCounterexample:
         assert is_local_phaseless(E, 1).verdict
         with pytest.raises(ValueError):
             build_counterexample(E, 1)
+
+    def test_exhaustive_tail_is_capped(self):
+        # Fails at the interior window (0, 3), and no guided split refutes it.
+        E = SampleSet(tuple(F(p) for p in CAPPED_21), (0, 8))
+        assert is_local_phaseless(E, 2).violated.condition == "interior"
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="capped at 20 points, got 21"):
+            build_counterexample(E, 2)
+        assert time.perf_counter() - start < 1.0
+
+    def test_guided_split_past_the_cap(self):
+        E = SampleSet(tuple(F(p) for p in GUIDED_22), (0, 8))
+        assert len(E) == 22
+        start = time.perf_counter()
+        pair = build_counterexample(E, 2)
+        assert time.perf_counter() - start < 1.0
+        assert verify_modulus_agreement(pair.f1, pair.f2, E.points)
+        assert pair.nonseparable == (True, True)
 
     def test_every_failing_instance_window_one(self):
         grid = [F(i, 4) for i in range(5)]
