@@ -11,6 +11,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import ceil, floor
 from typing import List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -21,6 +22,7 @@ __all__ = [
     "eval_spline",
     "is_separable",
     "support_runs",
+    "touched_shifts",
 ]
 
 
@@ -159,14 +161,20 @@ def eval_spline(f: SplineFunction, x) -> Fraction:
         if x < n1 or x > n2:
             return Fraction(0)
     total = Fraction(0)
-    for i, c in enumerate(f.coeffs):
-        if c == 0:
-            continue
-        n = f.start + i
-        # The shift by n vanishes unless n < x < n + m + 1.
-        if n < x < n + f.m + 1:
+    for n in touched_shifts(f.m, x, f.start, f.end):
+        c = f.coeffs[n - f.start]
+        if c:
             total += c * _bspline_value(f.m, x - n)
     return total
+
+
+def touched_shifts(m: int, x: Fraction, lo: int, hi: int) -> range:
+    """The shifts n in lo .. hi whose B-spline is nonzero at x: n < x < n + m + 1.
+
+    These are at most m + 1 consecutive integers, m of them when x is an
+    integer.
+    """
+    return range(max(lo, floor(x) - m), min(hi, ceil(x) - 1) + 1)
 
 
 def support_runs(indices: Sequence[int], m: int) -> List[List[int]]:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .bspline import as_fraction, check_degree, _bspline_value
+from .bspline import as_fraction, check_degree, touched_shifts, _bspline_value
 from .sequences import SampleSet
 
 __all__ = [
@@ -46,12 +46,6 @@ def _primitive(row: List[int]) -> List[int]:
     return [v // g for v in row] if g > 1 else row
 
 
-def _integer_row(row: Sequence[Fraction]) -> List[int]:
-    """A rational row scaled to coprime integers, as :class:`_Echelon` stores rows."""
-    den = lcm(*[v.denominator for v in row])
-    return _primitive([v.numerator * (den // v.denominator) for v in row])
-
-
 class _Echelon:
     """Row echelon form over the integers, grown one row at a time.
 
@@ -74,10 +68,8 @@ class _Echelon:
 
     def add(self, row: Sequence[Fraction]) -> Optional[int]:
         """Fold a rational row in; its new pivot column, or None if dependent."""
-        return self.add_integer(_integer_row(row))
-
-    def add_integer(self, cur: List[int]) -> Optional[int]:
-        """:meth:`add` for a row already made primitive by :func:`_integer_row`."""
+        den = lcm(*[v.denominator for v in row])
+        cur = _primitive([v.numerator * (den // v.denominator) for v in row])
         rows, pivots = self.rows, self.pivots
         lead = i = 0
         while True:
@@ -120,31 +112,6 @@ def _echelon(mat: Matrix) -> _Echelon:
     return ech
 
 
-def _subset_ranks(vectors: Sequence[Sequence[Fraction]], width: int) -> List[int]:
-    """Rank of every subset of the vectors, indexed by the mask whose bit j marks vector j.
-
-    The vectors have ``width`` entries each: the columns of a frame, or the
-    collocation rows of a point set.  A depth-first walk extends each subset
-    by one vector above its highest, so a node costs one copy of its
-    parent's echelon and one reduction of a cleared vector.  A subset of
-    rank ``width`` is a leaf: every superset has that rank too, which the
-    table holds from the start.
-    """
-    cleared = [_integer_row(vec) for vec in vectors]
-    ranks = [width] * (1 << len(cleared))
-    stack = [(0, 0, _Echelon())]
-    while stack:
-        mask, start, ech = stack.pop()
-        rank = ranks[mask] = len(ech.pivots)
-        if rank == width:
-            continue
-        for j in range(start, len(cleared)):
-            child = ech.copy()
-            child.add_integer(cleared[j])
-            stack.append((mask | 1 << j, j + 1, child))
-    return ranks
-
-
 def exact_rank(matrix) -> int:
     """Rank over the rationals, exact."""
     return len(_echelon(to_matrix(matrix)).pivots)
@@ -183,10 +150,19 @@ def null_space(matrix) -> Tuple[Tuple[Fraction, ...], ...]:
 
 
 def _collocation_rows(m: int, window: Tuple[int, int], points: Sequence[Fraction]) -> Matrix:
-    """One row per point x: the values B_m(x - n) at the shifts n = n1 - m .. n2 - 1."""
+    """One row per point x: the values B_m(x - n) at the shifts n = n1 - m .. n2 - 1.
+
+    Only the shifts that x touches are evaluated; the other entries are zero.
+    """
     n1, n2 = window
-    shifts = range(n1 - m, n2)
-    return tuple(tuple(_bspline_value(m, x - n) for n in shifts) for x in points)
+    lo = n1 - m
+    rows = []
+    for x in points:
+        row = [Fraction(0)] * (n2 - lo)
+        for n in touched_shifts(m, x, lo, n2 - 1):
+            row[n - lo] = _bspline_value(m, x - n)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,13 @@ padded with zero columns, two blocks on disjoint columns, so
     rank [A; A D_t] = rank A_S + rank A_{S^c}
 
 (the complement property of Balan, Casazza and Edidin, "On signal
-reconstruction without phase", ACHA 2006).  The reference test therefore
-reads every pattern off one table of column-subset ranks.  The
+reconstruction without phase", ACHA 2006).  Every split has
+rank A_S + rank A_{S^c} >= n, with equality exactly when S separates the
+column matroid of A, so the reference test asks whether that matroid is
+connected.  Its components are those of the graph that joins the columns
+sharing a nonzero row of the reduced echelon form (Krogdahl, "The
+dependence graph for bases in matroids", Discrete Math. 19, 1977), and
+the same form shows the coloops the weak spark test looks for.  The
 cross-check criteria keep the literal pairwise formulations.  Zero
 columns measure nothing and are dropped before any test.
 """
@@ -25,7 +30,7 @@ from itertools import combinations, product
 from math import comb
 from typing import Iterator, Sequence, Tuple
 
-from .collocation import Matrix, _echelon, _subset_ranks, exact_rank, null_space, to_matrix
+from .collocation import Matrix, _echelon, exact_rank, null_space, to_matrix
 
 __all__ = [
     "NotAFrameError",
@@ -97,8 +102,8 @@ def apply_signs(matrix, s: SignPattern) -> Matrix:
     return tuple(tuple(v * sg for v, sg in zip(row, s.signs)) for row in mat)
 
 
-def _check_frame(matrix) -> Tuple[Matrix, int]:
-    """The frame with its zero columns dropped, and its dimension n.
+def _check_frame(matrix) -> Matrix:
+    """The frame with its zero columns dropped.
 
     A zero column adds nothing to the measurements |<x, a_j>|, so dropping
     it leaves the question unchanged; kept, it would make every pattern
@@ -112,14 +117,14 @@ def _check_frame(matrix) -> Tuple[Matrix, int]:
     ncols = len(mat[0])
     if n < 2:
         raise NotAFrameError("frames of interest live in dimension at least 2")
-    if exact_rank(mat) < n:
-        raise NotAFrameError("columns do not span: matrix is rank deficient")
     if ncols > SIGN_ENUMERATION_CAP:
         raise ValueError(
             "sign-pattern enumeration is capped at %d columns, got %d"
             % (SIGN_ENUMERATION_CAP, ncols)
         )
-    return tuple(zip(*[col for col in zip(*mat) if any(col)])), n
+    if exact_rank(mat) < n:
+        raise NotAFrameError("columns do not span: matrix is rank deficient")
+    return tuple(zip(*[col for col in zip(*mat) if any(col)]))
 
 
 def is_almost_phase_retrievable(matrix) -> bool:
@@ -130,14 +135,18 @@ def is_almost_phase_retrievable(matrix) -> bool:
     Right-multiplying the stack by D_s reduces the pair to the single
     pattern t = s*s', and with S the columns where t is +1,
     rank [A; A D_t] = rank A_S + rank A_{S^c}.  The test therefore fails
-    exactly when the columns split into S, holding the first column, and a
-    nonempty rest whose ranks sum to n, and one table of the 2^N
-    column-subset ranks answers every split.
+    exactly when the columns split into two nonempty sets whose ranks sum
+    to n, that is when the column matroid is disconnected: it passes when
+    the columns linked through shared nonzero rows of the reduced echelon
+    form reach every column from the first.
     """
-    mat, n = _check_frame(matrix)
-    ranks = _subset_ranks(list(zip(*mat)), n)
-    full = len(ranks) - 1
-    return all(ranks[s] + ranks[full ^ s] > n for s in range(1, full, 2))
+    mat = _check_frame(matrix)
+    rows = [{j for j, v in enumerate(row) if v} for row in _echelon(mat).reduced()]
+    component, frontier = set(), {0}
+    while frontier:
+        component |= frontier
+        frontier = set().union(*[row for row in rows if row & frontier]) - component
+    return len(component) == len(mat[0])
 
 
 def _canonical_rowspace(matrix: Matrix) -> Tuple[Tuple[Fraction, ...], ...]:
@@ -173,7 +182,7 @@ def almost_pr_by_criterion(matrix, criterion: int) -> bool:
     implementation is :func:`is_almost_phase_retrievable`.  Zero columns
     are dropped first, as there.
     """
-    mat, _ = _check_frame(matrix)
+    mat = _check_frame(matrix)
     patterns = list(sign_patterns(len(mat[0])))
 
     if criterion == 2:
@@ -191,17 +200,15 @@ def almost_pr_by_criterion(matrix, criterion: int) -> bool:
 
 
 def is_weak_full_spark(matrix) -> bool:
-    """Whether the rank survives removal of any single column."""
+    """Whether the rank survives removal of any single column.
+
+    Removing column j lowers the rank exactly when j is a coloop: a pivot
+    column whose row of the reduced echelon form has no other nonzero entry.
+    """
     mat = to_matrix(matrix)
     if not mat or not mat[0]:
         return False
-    rank = exact_rank(mat)
-    ncols = len(mat[0])
-    for j in range(ncols):
-        reduced = tuple(row[:j] + row[j + 1:] for row in mat)
-        if exact_rank(reduced) != rank:
-            return False
-    return True
+    return all(sum(1 for v in row if v) > 1 for row in _echelon(mat).reduced())
 
 
 def is_full_spark(matrix) -> bool:

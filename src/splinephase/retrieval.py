@@ -14,7 +14,9 @@ run of M1 | M2 meets both M1 and M2, which takes one null space per side.
 A window of one unit holds no gap of m+1, so there any two nonzero spaces
 refute.  Scaling one side so its smallest nonzero magnitude beats the
 other's largest (no accidental cancellation) turns the two cut vectors
-into nonseparable splines agreeing in modulus on every sample.
+into nonseparable splines agreeing in modulus on every sample.  Only the
+splits whose two halves are both rank-deficient can refute, and a greedy
+matching of points to shifts finds them without elimination.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .bspline import SplineFunction, as_fraction, check_degree, eval_spline, is_separable, support_runs
-from .collocation import _collocation_rows, _Echelon, _kernel, _subset_ranks, null_space
+from .bspline import SplineFunction, as_fraction, check_degree, eval_spline, is_separable, support_runs, touched_shifts
+from .collocation import _collocation_rows, _Echelon, _kernel, null_space
 from .sequences import CertificateReport, SampleSet, Violation, is_local_phaseless
 
 __all__ = [
@@ -325,22 +327,42 @@ def _scaled_pair(
 def _deficient_splits(E: SampleSet, m: int) -> Iterator[Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]]:
     """The splits of E in which both halves carry a nonzero vanishing spline.
 
-    Anchoring the smallest point on the first side visits every unordered
-    split once, in ascending order of the first side's point mask; the two
-    sides play symmetric roles downstream.  A half whose collocation rows
-    have full rank w + m has V = 0, so every skipped split is one
-    :func:`_find_support_violation` rejects.
+    A half whose collocation rows have full rank w + m has V = 0, so every
+    skipped split is one :func:`_find_support_violation` rejects.  By
+    Schoenberg-Whitney the rank of the rows of sorted points is the size
+    of a greedy matching that gives each point, in increasing order, the
+    smallest free shift it touches (de Boor, "Total positivity of the
+    spline collocation matrix", Indiana Univ. Math. J. 25, 1976).  So a
+    depth-first walk deals the points out in increasing order, keeps each
+    side's matching as (first free shift, rank), and drops a branch once a
+    side reaches full rank.  The smallest point stays on the first side,
+    so every unordered split comes once; the two sides play symmetric
+    roles downstream.  Points go to the first side first, so (E, empty)
+    is the first split whenever E is rank-deficient.
     """
     n1, n2 = E.window
-    width = (n2 - n1) + m
-    ranks = _subset_ranks(_collocation_rows(m, E.window, E.points), width)
-    full = len(ranks) - 1
-    for mask in range(1, full + 1, 2):
-        if ranks[mask] < width and ranks[full ^ mask] < width:
+    lo, full = n1 - m, (n2 - n1) + m
+    touched = [touched_shifts(m, x, lo, n2 - 1) for x in E.points]
+
+    def deal(side: Tuple[int, int], i: int) -> Tuple[int, int]:
+        free, rank = side
+        shift = max(free, touched[i].start)
+        return (shift + 1, rank + 1) if shift < touched[i].stop else side
+
+    stack = [(0, 0, (lo, 0), (lo, 0))]
+    while stack:
+        i, mask, first, second = stack.pop()
+        if first[1] == full or second[1] == full:
+            continue
+        if i == len(touched):
             yield (
                 tuple(x for j, x in enumerate(E.points) if mask >> j & 1),
                 tuple(x for j, x in enumerate(E.points) if not mask >> j & 1),
             )
+            continue
+        if i:
+            stack.append((i + 1, mask, first, deal(second, i)))
+        stack.append((i + 1, mask | 1 << i, deal(first, i), second))
 
 
 def partition_oracle(E: SampleSet, m: int) -> bool:
@@ -350,9 +372,8 @@ def partition_oracle(E: SampleSet, m: int) -> bool:
     half and searches the two vanishing null spaces for a pair of vectors
     whose supports have a union with no zero-gap of length m+1.  Such a
     pair is exactly a recovery ambiguity between two nonseparable splines,
-    so the oracle returns True when no split admits one.  The split
-    (E, empty) comes first: it refutes every rank-deficient E, the one case
-    in which no split has a full-rank half to prune.
+    so the oracle returns True when no split admits one.  A split with a
+    full-rank half admits none and is skipped (:func:`_deficient_splits`).
     """
     check_degree(m)
     if len(E) > PARTITION_ORACLE_CAP:
@@ -360,8 +381,6 @@ def partition_oracle(E: SampleSet, m: int) -> bool:
             "partition oracle is capped at %d points, got %d"
             % (PARTITION_ORACLE_CAP, len(E))
         )
-    if _find_support_violation(m, E.window, E.points, ()) is not None:
-        return False
     for side1, side2 in _deficient_splits(E, m):
         if _find_support_violation(m, E.window, side1, side2) is not None:
             return False
@@ -414,7 +433,7 @@ def _partition_order(E: SampleSet, m: int, violation: Violation) -> Iterator[Tup
         seen.add(key)
         complement = tuple(sorted(pts - set(side)))
         yield side, complement
-    # The exhaustive tail ranks all 2^|E| subsets, as the oracle does.
+    # The exhaustive tail walks up to 2^(|E| - 1) splits, as the oracle does.
     if len(E) > PARTITION_ORACLE_CAP:
         raise ValueError(
             "counterexample search beyond the guided splits is capped at %d points, got %d"

@@ -6,7 +6,8 @@ it, and the incremental eliminator with back-substitution that drove the
 sign search.  ``test_linalg_reference.py`` requires the library's rank,
 null space, row space, system solutions and recoveries to equal theirs
 exactly.  Only the domain types and the B-spline values come from the
-library.
+library, apart from the subset-rank table at the end, which walks the
+library's echelon.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from splinephase.bspline import SplineFunction, _bspline_value
+from splinephase.collocation import _Echelon
 from splinephase.retrieval import RecoveryResult, UnsignedSamples
 
 
@@ -137,6 +139,32 @@ class Eliminator:
                 vec[pc] = -rows[i][fc]
             basis.append(tuple(vec))
         return tuple(particular), tuple(basis)
+
+
+def _subset_ranks(vectors: Sequence[Sequence[Fraction]], width: int) -> List[int]:
+    """Rank of every subset of the vectors, indexed by the mask whose bit j marks vector j.
+
+    This 2^N table is what the frame test and the partition oracle read
+    before matroid connectivity and the greedy matching replaced it.  The
+    vectors have ``width`` entries each: the columns of a frame, or the
+    collocation rows of a point set.  A depth-first walk extends each subset
+    by one vector above its highest, so a node costs one copy of its
+    parent's echelon and one reduction.  A subset of rank ``width`` is a
+    leaf: every superset has that rank too, which the table holds from the
+    start.
+    """
+    ranks = [width] * (1 << len(vectors))
+    stack = [(0, 0, _Echelon())]
+    while stack:
+        mask, start, ech = stack.pop()
+        rank = ranks[mask] = len(ech.pivots)
+        if rank == width:
+            continue
+        for j in range(start, len(vectors)):
+            child = ech.copy()
+            child.add(vectors[j])
+            stack.append((mask | 1 << j, j + 1, child))
+    return ranks
 
 
 def _canonical(coeffs: Sequence[Fraction]) -> Tuple[Fraction, ...]:

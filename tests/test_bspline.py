@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import splinephase
 from splinephase import SplineFunction, eval_bspline, eval_spline, is_separable
-from splinephase.bspline import as_fraction
+from splinephase.bspline import as_fraction, touched_shifts
 
 
 def triangle(x: Fraction) -> Fraction:
@@ -126,6 +126,18 @@ class TestSplineFunction:
         assert eval_spline(f, 3) == 0
         assert eval_spline(f, 8) == 0
         assert eval_spline(f, Fraction(9, 2)) != 0
+
+
+class TestTouchedShifts:
+    def test_matches_the_nonzero_values(self):
+        # Sixths from -2 to 6 hold the integers and the window edges below.
+        for m in (1, 2, 3, 4):
+            ranges = [(n1 - m, n2 - 1) for n1, n2 in ((0, 1), (0, 3), (-2, 2), (1, 5))] + [(3, 1)]
+            for lo, hi in ranges:
+                for k in range(-12, 37):
+                    x = Fraction(k, 6)
+                    expected = [n for n in range(lo, hi + 1) if eval_bspline(m, x - n) != 0]
+                    assert list(touched_shifts(m, x, lo, hi)) == expected, (m, x, lo, hi)
 
 
 class TestSeparability:

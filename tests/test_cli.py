@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -36,6 +37,10 @@ def write_json(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
+
+
+def random_rational_entries(rng, nrows, ncols):
+    return [["%d/%d" % (rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(ncols)] for _ in range(nrows)]
 
 
 UNIFORM_6_ON_0_3 = {
@@ -345,6 +350,16 @@ class TestInputErrors:
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
+    def test_sign_patterns_beyond_the_cap_exit_two_promptly(self, tmp_path):
+        # The column cap comes before the rank of this 100 x 200 matrix.
+        path = write_json(tmp_path, "m.json", {"entries": random_rational_entries(random.Random(5), 100, 200)})
+        start = time.perf_counter()
+        done = run_process(["frame-check", "--criterion", "4", "--input", path])
+        assert time.perf_counter() - start < 1.0
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "capped at 14 columns, got 200" in done.stderr
+
     def test_scan_beyond_the_cap_exits_two(self, capsys, tmp_path):
         from splinephase.sequences import MAX_SCAN_WIDTH
 
@@ -353,6 +368,15 @@ class TestInputErrors:
         code, out, err = run_cli(capsys, ["certify", "--m", "1", "--mode", "global", "--input", path])
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "exceeds" in err
+
+
+class TestWideFrames:
+    def test_weak_spark_of_a_wide_matrix_finishes(self, tmp_path):
+        # One reduced echelon form of 50 x 100, not one rank per removed column.
+        path = write_json(tmp_path, "m.json", {"entries": random_rational_entries(random.Random(7), 50, 100)})
+        done = run_process(["frame-check", "--criterion", "weak-spark", "--input", path], timeout=5)
+        assert done.returncode == 0 and done.stderr == ""
+        assert json.loads(done.stdout) == {"criterion": "weak-spark", "verdict": True}
 
 
 class TestWideWindows:

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from brute_linalg import _subset_ranks
 from conftest import collocation_frame, random_frame, uniform_points
 from splinephase import (
     SampleSet,
@@ -18,7 +19,7 @@ from splinephase import (
     null_space,
     schoenberg_whitney,
 )
-from splinephase.collocation import _collocation_rows, _subset_ranks
+from splinephase.collocation import _collocation_rows
 
 F = Fraction
 
@@ -57,12 +58,13 @@ class TestBuildCollocation:
 
     def test_zero_entries_follow_support(self):
         E = uniform_points(0, 3, 7)
-        m = 2
-        mat = build_collocation(E, m)
-        for i, n in enumerate(mat.row_index):
-            for j, x in enumerate(mat.col_index):
-                inside = n < x < n + m + 1
-                assert (mat.entries[i][j] != 0) == inside
+        for m in (1, 2, 3):
+            mat = build_collocation(E, m)
+            for i, n in enumerate(mat.row_index):
+                for j, x in enumerate(mat.col_index):
+                    inside = n < x < n + m + 1
+                    assert (mat.entries[i][j] != 0) == inside
+                    assert mat.entries[i][j] == eval_bspline(m, x - n)
 
 
 class TestExactRank:
