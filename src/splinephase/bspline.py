@@ -15,9 +15,11 @@ from math import ceil, floor
 from typing import List, Optional, Sequence, Tuple
 
 __all__ = [
+    "MAX_DEGREE",
     "SplineFunction",
     "as_fraction",
     "check_degree",
+    "check_eval_degree",
     "eval_bspline",
     "eval_spline",
     "is_separable",
@@ -74,6 +76,20 @@ def check_degree(m: int) -> int:
     return m
 
 
+# Largest degree at which B-splines are evaluated.  Values come from a
+# recursion m levels deep, and each collocation row holds w + m entries;
+# the count certifiers never evaluate and keep every degree.
+MAX_DEGREE = 64
+
+
+def check_eval_degree(m: int) -> int:
+    """Validate a degree at which B-splines are evaluated: 1 to ``MAX_DEGREE``."""
+    check_degree(m)
+    if m > MAX_DEGREE:
+        raise ValueError("degree must be at most %d, got %d" % (MAX_DEGREE, m))
+    return m
+
+
 @lru_cache(maxsize=None)
 def _bspline_value(m: int, x: Fraction) -> Fraction:
     # Convolution-power recursion; the degree-0 base is the half-open
@@ -92,7 +108,7 @@ def eval_bspline(m: int, x) -> Fraction:
     indicator: a piecewise polynomial of degree m, zero outside (0, m+1)
     and strictly positive inside.
     """
-    check_degree(m)
+    check_eval_degree(m)
     return _bspline_value(m, as_fraction(x))
 
 
@@ -155,6 +171,7 @@ class SplineFunction:
 
 def eval_spline(f: SplineFunction, x) -> Fraction:
     """Exact value of ``f`` at ``x`` (zero outside the window, if any)."""
+    check_eval_degree(f.m)
     x = as_fraction(x)
     if f.window is not None:
         n1, n2 = f.window

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .bspline import as_fraction, check_degree, touched_shifts, _bspline_value
+from .bspline import as_fraction, check_eval_degree, touched_shifts, _bspline_value
 from .sequences import SampleSet
 
 __all__ = [
@@ -189,7 +189,7 @@ class CollocationMatrix:
 
 def build_collocation(E: SampleSet, m: int) -> CollocationMatrix:
     """Collocation matrix of the windowed basis shifts at the points of E."""
-    check_degree(m)
+    check_eval_degree(m)
     n1, n2 = E.window
     shifts = tuple(range(n1 - m, n2))
     rows = _collocation_rows(m, E.window, E.points)
@@ -204,7 +204,7 @@ def schoenberg_whitney(m: int, shifts: Sequence[int], points: Sequence) -> bool:
     of equal number, the matrix [B_m(t_i - n_j)] is invertible exactly when
     every diagonal entry B_m(t_i - n_i) is nonzero.
     """
-    check_degree(m)
+    check_eval_degree(m)
     if len(shifts) != len(points):
         raise ValueError("shifts and points must have the same length")
     shifts = [int(n) for n in shifts]

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .bspline import SplineFunction, as_fraction, check_degree, eval_spline, is_separable, support_runs, touched_shifts
+from .bspline import SplineFunction, as_fraction, check_eval_degree, eval_spline, is_separable, support_runs, touched_shifts
 from .collocation import _collocation_rows, _Echelon, _kernel, null_space
 from .sequences import CertificateReport, SampleSet, Violation, is_local_phaseless
 
@@ -124,79 +124,63 @@ def _solve(ech: _Echelon, ncols: int) -> Tuple[Tuple[Fraction, ...], Tuple[Tuple
     return tuple(particular), tuple(tuple(vec) for vec in _kernel(rref, ech.pivots, ncols))
 
 
-def reconstruct(samples: UnsignedSamples, m: int, *, _branch_zero_values: bool = False) -> RecoveryResult:
+def reconstruct(samples: UnsignedSamples, m: int) -> RecoveryResult:
     """Recover the windowed splines consistent with unsigned sample values.
 
     Runs a depth-first search over sign assignments of the nonzero values,
     samples in increasing point order with the leading nonzero sign pinned
-    to +1.  Each partial assignment feeds an exact incremental elimination
-    and is pruned the moment the linear system for the coefficients turns
-    inconsistent; surviving leaves yield candidate splines which are merged
-    up to global sign.
+    to +1; zero values never branch, since both signs give one equation.
+    The search keeps its own stack, so the number of samples meets no
+    recursion limit.  Each partial assignment feeds an exact incremental
+    elimination and is pruned the moment the linear system for the
+    coefficients turns inconsistent; surviving leaves yield candidate
+    splines which are merged up to global sign.
 
-    Zero values never branch (both signs give the same equation) unless
-    the private knob ``_branch_zero_values`` forces it, which must not
-    change the outcome.
+    Every leaf has the same coefficient rows, and the coefficient columns
+    of the reduced form of a consistent [A | b] are the reduced form of A,
+    so all leaves share one null space: a leaf differs only in its
+    particular solution.
     """
-    check_degree(m)
+    check_eval_degree(m)
     E = samples.sample_set
     n1, n2 = E.window
     ncols = (n2 - n1) + m
     rows = _collocation_rows(m, E.window, E.points)
     values = samples.values
-    branching = [
-        i for i, y in enumerate(values) if y != 0 or _branch_zero_values
-    ]
     pinned = next((i for i, y in enumerate(values) if y != 0), None)
 
-    exact_solutions: List[Tuple[Fraction, ...]] = []
-    families: List[Tuple[Tuple[Fraction, ...], Tuple[Tuple[Fraction, ...], ...]]] = []
-
-    def descend(index: int, state: _Echelon) -> None:
+    particulars: List[Tuple[Fraction, ...]] = []
+    basis: Tuple[Tuple[Fraction, ...], ...] = ()
+    stack = [(0, _Echelon())]
+    while stack:
+        index, state = stack.pop()
         if index == len(values):
             particular, basis = _solve(state, ncols)
-            if basis:
-                families.append((particular, basis))
-            else:
-                exact_solutions.append(particular)
-            return
+            particulars.append(particular)
+            continue
         y = values[index]
-        if index in branching and index != pinned:
-            signs = (1, -1)
-        else:
-            signs = (1,)
-        for sign in signs:
-            branch = state.copy() if len(signs) > 1 else state
+        # -1 is pushed first, on a copy taken before +1 extends the state,
+        # so the +1 branch is searched first.
+        for sign in (-1, 1) if y and index != pinned else (1,):
+            branch = state.copy() if sign < 0 else state
             # A pivot in the right-hand side column reads 0 = nonzero.
             if branch.add(rows[index] + (sign * y,)) != ncols:
-                descend(index + 1, branch)
+                stack.append((index + 1, branch))
 
-    descend(0, _Echelon())
-
-    def to_spline(coeffs: Sequence[Fraction]) -> SplineFunction:
-        return SplineFunction(m, n1 - m, tuple(coeffs), (n1, n2))
-
+    # Of p, p + d and p + 2d (d != 0) at most two agree up to sign, so an
+    # underdetermined system always lists two solutions.
+    steps = [basis[0], tuple(2 * v for v in basis[0]), *basis[1:]] if basis else []
     seen: Dict[Tuple[Fraction, ...], SplineFunction] = {}
-
-    def admit(coeffs: Sequence[Fraction]) -> None:
-        canon = _canonical_coeffs(coeffs)
-        if canon not in seen:
-            seen[canon] = to_spline(canon)
-
-    for sol in exact_solutions:
-        admit(sol)
-    for particular, basis in families:
-        direction = basis[0]
-        admit(particular)
-        admit([a + b for a, b in zip(particular, direction)])
-        admit([a + 2 * b for a, b in zip(particular, direction)])
-        for extra in basis[1:]:
-            admit([a + b for a, b in zip(particular, extra)])
+    for particular in particulars:
+        for coeffs in [particular, *(tuple(a + b for a, b in zip(particular, step)) for step in steps)]:
+            canon = _canonical_coeffs(coeffs)
+            if canon not in seen:
+                seen[canon] = SplineFunction(m, n1 - m, canon, (n1, n2))
 
     solutions = tuple(seen[key] for key in sorted(seen))
     if not solutions:
         return RecoveryResult("infeasible", ())
-    if len(solutions) == 1 and not families:
+    if len(solutions) == 1 and not basis:
         return RecoveryResult("unique", solutions)
     return RecoveryResult("ambiguous", solutions, (solutions[0], solutions[1]))
 
@@ -375,7 +359,7 @@ def partition_oracle(E: SampleSet, m: int) -> bool:
     so the oracle returns True when no split admits one.  A split with a
     full-rank half admits none and is skipped (:func:`_deficient_splits`).
     """
-    check_degree(m)
+    check_eval_degree(m)
     if len(E) > PARTITION_ORACLE_CAP:
         raise ValueError(
             "partition oracle is capped at %d points, got %d"
@@ -462,7 +446,7 @@ def build_counterexample(E: SampleSet, m: int) -> CounterexamplePair:
     (``ValueError``).  Exhausting the search would contradict the certifier,
     so that raises :class:`InternalInconsistencyError`.
     """
-    check_degree(m)
+    check_eval_degree(m)
     report = is_local_phaseless(E, m)
     if report.verdict:
         raise ValueError("sample set passes phaseless certification; nothing to refute")

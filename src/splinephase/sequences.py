@@ -581,34 +581,35 @@ def find_sampling_subwindow(E: SampleSet, m: int) -> Optional[Tuple[int, int]]:
     """Find an integer subwindow on which E restricts to a sampling sequence.
 
     Returns None exactly when E has fewer than width + m points.  The
-    search recurses on the first failing count condition, checking the
-    boundary prefixes and suffixes before interior windows: the recursion
-    step for an interior violation is only valid once the boundary counts
-    hold.
+    search shrinks the window past the first failing count condition,
+    checking the boundary prefixes and suffixes before interior windows:
+    the step for an interior violation is only valid once the boundary
+    counts hold.  Each condition compares two counts, so one grid of
+    prefix counts over the whole window serves every subwindow.
     """
     check_degree(m)
     n1, n2 = E.window
     if len(E) < (n2 - n1) + m:
         return None
-    return _search_sampling(E, n1, n2, m)
-
-
-def _search_sampling(E: SampleSet, a: int, b: int, m: int) -> Tuple[int, int]:
-    sub = E.restrict(a, b)
-    if is_local_sampling(sub, m).verdict:
-        return (a, b)
-    width = b - a
-    below, upto = _grid_counts(sub, a, b)
-    for k in range(1, width + 1):
-        if below[k] - below[0] < k:
-            return _search_sampling(E, a + k, b, m)
-    for k in range(1, width + 1):
-        if upto[width] - upto[width - k] < k:
-            return _search_sampling(E, a, b - k, m)
-    hit = _first_deficit(below, upto, 1, -m)
-    if hit is None:  # pragma: no cover
+    below_all, upto_all = _grid_counts(E, n1, n2)
+    a, b = n1, n2
+    while True:
+        below, upto = below_all[a - n1 : b - n1 + 1], upto_all[a - n1 : b - n1 + 1]
+        width = b - a
+        prefix = next((k for k in range(1, width + 1) if below[k] - below[0] < k), 0)
+        if prefix:
+            a += prefix
+            continue
+        suffix = next((k for k in range(1, width + 1) if upto[width] - upto[width - k] < k), 0)
+        if suffix:
+            b -= suffix
+            continue
+        hit = _first_deficit(below, upto, 1, -m)
+        if hit is None:
+            break
+        # The deficit starts past a: with every prefix count met and at
+        # most one point at a, below[j] - upto[0] >= j - 1 >= j - m.
+        b = a + hit[0]
+    if not is_local_sampling(E.restrict(a, b), m).verdict:  # pragma: no cover
         raise AssertionError("certifier and subwindow search disagree")
-    lo, hi = hit
-    if lo > 0:
-        return _search_sampling(E, a, a + lo, m)
-    return _search_sampling(E, a + hi, b, m)
+    return (a, b)

@@ -14,8 +14,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import splinephase
-from splinephase import SplineFunction, eval_bspline, eval_spline, is_separable
-from splinephase.bspline import as_fraction, touched_shifts
+from splinephase import (
+    SampleSet,
+    SplineFunction,
+    UnsignedSamples,
+    build_collocation,
+    build_counterexample,
+    eval_bspline,
+    eval_spline,
+    is_almost_phaseless,
+    is_local_phaseless,
+    is_local_sampling,
+    is_separable,
+    partition_oracle,
+    reconstruct,
+    schoenberg_whitney,
+)
+from splinephase.bspline import MAX_DEGREE, as_fraction, touched_shifts
 
 
 def triangle(x: Fraction) -> Fraction:
@@ -93,6 +108,33 @@ class TestEvalBspline:
             eval_bspline(1, 0.5)
         with pytest.raises(TypeError):
             as_fraction(True)
+
+
+class TestDegreeCap:
+    def test_evaluation_refuses_degrees_past_the_cap(self):
+        m = MAX_DEGREE + 1
+        E = SampleSet((Fraction(1, 3), Fraction(1, 2)), (0, 1))
+        f = SplineFunction(m, -m, (1,) * (m + 1), (0, 1))
+        calls = {
+            "eval_bspline": lambda: eval_bspline(m, Fraction(1, 2)),
+            "eval_spline": lambda: eval_spline(f, Fraction(1, 2)),
+            "build_collocation": lambda: build_collocation(E, m),
+            "schoenberg_whitney": lambda: schoenberg_whitney(m, [0], [Fraction(1, 2)]),
+            "reconstruct": lambda: reconstruct(UnsignedSamples(E, (1, 1)), m),
+            "partition_oracle": lambda: partition_oracle(E, m),
+            "build_counterexample": lambda: build_counterexample(E, m),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match="at most %d, got %d" % (MAX_DEGREE, m)):
+                call()
+                pytest.fail(name)
+
+    def test_cap_admits_its_limit_and_spares_the_count_certifiers(self):
+        assert eval_bspline(MAX_DEGREE, Fraction(MAX_DEGREE + 1, 2)) > 0
+        E = SampleSet((Fraction(1, 3), Fraction(1, 2)), (0, 1))
+        assert len(build_collocation(E, MAX_DEGREE).entries) == MAX_DEGREE + 1
+        for certify in (is_local_sampling, is_almost_phaseless, is_local_phaseless):
+            assert certify(E, 10 * MAX_DEGREE).violated.condition == "cardinality"
 
 
 class TestSplineFunction:

@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 from conftest import CAPPED_21
-from splinephase import verify_modulus_agreement
+from splinephase import SampleSet, SplineFunction, eval_spline, is_local_phaseless, verify_modulus_agreement
+from splinephase.bspline import MAX_DEGREE
 from splinephase.cli import MAX_PROBES, main
 from splinephase.jsonio import decode_spline
 
@@ -360,6 +361,16 @@ class TestInputErrors:
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
         assert "capped at 14 columns, got 200" in done.stderr
 
+    def test_degree_beyond_the_cap_exits_two_promptly(self, tmp_path):
+        # B-spline values recurse m levels deep and rows hold w + m entries.
+        path = write_json(tmp_path, "e.json", {"window": [0, 1], "points": ["1/3", "1/2"]})
+        start = time.perf_counter()
+        done = run_process(["oracle", "--m", "600", "--input", path])
+        assert time.perf_counter() - start < 1.0
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "at most %d, got 600" % MAX_DEGREE in done.stderr
+
     def test_scan_beyond_the_cap_exits_two(self, capsys, tmp_path):
         from splinephase.sequences import MAX_SCAN_WIDTH
 
@@ -403,3 +414,25 @@ class TestPointCaps:
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
         assert "capped at 20 points, got 21" in done.stderr
+
+
+class TestLargeRecoveries:
+    def test_a_thousand_certified_samples_recover_uniquely(self, tmp_path):
+        # More samples than the interpreter's recursion limit: the sign
+        # search keeps its own stack.
+        width, m = 340, 2
+        points = [u + F(k, 4) for u in range(width) for k in (1, 2, 3)]
+        points += [F(k, 8) for k in (1, 3, 5)] + [width - F(k, 8) for k in (1, 3, 5)]
+        E = SampleSet(tuple(sorted(points)), (0, width))
+        assert len(E) == 1026 and is_local_phaseless(E, m).verdict
+        f = SplineFunction(m, -m, tuple(F(j % 7 - 3) for j in range(width + m)), (0, width))
+        payload = {
+            "sample_set": {"window": [0, width], "points": [str(x) for x in E.points]},
+            "values": [str(abs(eval_spline(f, x))) for x in E.points],
+        }
+        path = write_json(tmp_path, "s.json", payload)
+        done = run_process(["reconstruct", "--m", str(m), "--input", path], timeout=10)
+        assert done.returncode == 0 and done.stderr == ""
+        result = json.loads(done.stdout)
+        assert result["status"] == "unique"
+        assert decode_spline(result["solutions"][0]) == f.negated()

@@ -138,7 +138,23 @@ def recovery_inputs():
         E = SampleSet(tuple(sorted(u + F(rng.randint(1, 15), 16) for u in range(width))), (0, width))
         f = random_nonseparable_spline(rng, (0, width), 1)
         out.append((UnsignedSamples(E, unsigned_values(f, E)), 1))
+    # One point per unit leaves a null space of dimension m: every leaf
+    # admits its particular solution plus steps along each direction.
+    for m in (1, 2, 2, 3, 3):
+        width = rng.randint(2, 4)
+        E = SampleSet(tuple(u + F(rng.randint(1, 7), 8) for u in range(width)), (0, width))
+        values = unsigned_values(random_nonseparable_spline(rng, (0, width), m), E)
+        out.append((UnsignedSamples(E, values), m))
+        out.append((UnsignedSamples(E, (F(0),) + values[1:]), m))
     return out
+
+
+def test_recovery_inputs_reach_wide_null_spaces():
+    dims = set()
+    for samples, m in recovery_inputs():
+        E = samples.sample_set
+        dims.add((E.window[1] - E.window[0]) + m - exact_rank(build_collocation(E, m).entries))
+    assert {0, 1, 2, 3} <= dims
 
 
 @pytest.mark.parametrize("branch_zero_values", [False, True])
@@ -147,7 +163,7 @@ def test_reconstruct_matches_reference(branch_zero_values):
     inputs = recovery_inputs()
     assert any(0 in samples.values for samples, _ in inputs)
     for samples, m in inputs:
-        got = reconstruct(samples, m, _branch_zero_values=branch_zero_values)
+        got = reconstruct(samples, m)
         assert got == brute.reconstruct(samples, m, branch_zero_values=branch_zero_values)
         statuses.add(got.status)
     assert statuses == {"unique", "ambiguous", "infeasible"}

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import brute_linalg
 from conftest import (
     CAPPED_21,
     GUIDED_22,
@@ -74,7 +75,7 @@ class TestReconstruct:
         samples = UnsignedSamples(E, unsigned_values(f, E))
         assert samples.values[1] == 0
         plain = reconstruct(samples, 1)
-        forced = reconstruct(samples, 1, _branch_zero_values=True)
+        forced = brute_linalg.reconstruct(samples, 1, branch_zero_values=True)
         assert plain.status == forced.status
         assert [g.coeffs for g in plain.solutions] == [g.coeffs for g in forced.solutions]
 

@@ -401,3 +401,8 @@ class TestFindSamplingSubwindow:
             n1, n2 = result
             assert 0 <= n1 < n2 <= width
             assert is_local_sampling(E.restrict(n1, n2), m).verdict
+
+    def test_one_trim_per_empty_unit_past_the_recursion_limit(self):
+        # The left half is empty, so the search trims one unit 1,200 times.
+        E = SampleSet(tuple(u + F(k, 4) for u in range(1200, 2400) for k in (1, 2, 3)), (0, 2400))
+        assert find_sampling_subwindow(E, 1) == (1200, 2400)

@@ -110,6 +110,38 @@ class TestGlobalAgainstBruteForce:
                     assert excess_sup(D, n0, side) == brute.excess_sup(D, n0, side), (D, n0, side)
         assert seen == {None, "P1", "P2", "P2prime"}
 
+    def test_p1_bounds_the_window_excess_at_density_two(self):
+        # At density exactly two, P1 on the periodic tail bounds every
+        # closed window: #[a, b] = 2P - #(b, a + P) <= 2(b - a) + 1.  The
+        # excess is then at most 1, below the 2m - 1 that P2 asks of m >= 2.
+        rng = random.Random(17)
+        passing = 0
+        for _ in range(600):
+            period = rng.randint(1, 5)
+            offsets = tuple(sorted(rng.sample([F(i, 4) for i in range(4 * period)], 2 * period)))
+            base = PeriodicSetDescriptor(period, offsets)
+            lo = rng.randint(-4, 4)
+            hi = lo + rng.randint(0, 6)
+            candidates = [F(lo) + F(i, 4) for i in range(4 * (hi - lo) + 1)]
+            edits = tuple(
+                ("remove" if base.contains(x) else "add", x)
+                for x in rng.sample(candidates, min(len(candidates), rng.randint(0, 3)))
+            )
+            D = PeriodicSetDescriptor(period, offsets, edits, (lo, hi))
+            reports = [is_global_phaseless(D, m) for m in (2, 3)]
+            if reports[0].violated.condition == "P1":
+                continue
+            passing += 1
+            excess = max(
+                count(base, a, b, include_lo=True, include_hi=True) - 2 * (b - a)
+                for a in range(period)
+                for b in range(a, a + period)
+            )
+            assert excess <= 1, D
+            for report in reports:
+                assert report.violated.params == {"max_window_excess": excess}, D
+        assert passing >= 100
+
     def test_every_small_edit_of_density_two_patterns(self):
         # Up to two edits on the quarter grid of [0, 2], over patterns of
         # two points per unit with no triple in a closed unit interval:
