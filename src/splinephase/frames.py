@@ -17,18 +17,25 @@ column matroid of A, so the reference test asks whether that matroid is
 connected.  Its components are those of the graph that joins the columns
 sharing a nonzero row of the reduced echelon form (Krogdahl, "The
 dependence graph for bases in matroids", Discrete Math. 19, 1977), and
-the same form shows the coloops the weak spark test looks for.  The
-cross-check criteria keep the literal pairwise formulations.  Zero
-columns measure nothing and are dropped before any test.
+the same form shows the coloops the weak spark test looks for.  Both
+tests read one reduced echelon form: its row count is the rank, and a
+column of A is zero exactly when its column there is, so zero columns,
+which measure nothing, stay out of the components without being removed.
+That one elimination is bounded by ``ELIMINATION_BUDGET``, which counts
+the entries and their bits, not the columns.
+
+The cross-check criteria keep the literal pairwise formulations.  They
+enumerate 2^(N-1) sign patterns, so they, and the full spark test's
+subsets, are capped by ``SIGN_ENUMERATION_CAP``; they drop zero columns
+before they start.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
-from math import comb
-from typing import Iterator, Sequence, Tuple
+from math import comb, isqrt, lcm
+from typing import Iterator, List, Sequence, Set, Tuple
 
 from .collocation import Matrix, _echelon, exact_rank, null_space, to_matrix
 
@@ -44,6 +51,11 @@ __all__ = [
 ]
 
 SIGN_ENUMERATION_CAP = 14
+
+# Work admitted for exact eliminations, in the units of _check_budget.  Over
+# square, wide and tall matrices of 1- to 100-digit entries, the slowest one
+# admitted took 1.1 s to reduce (CPython 3.11).
+ELIMINATION_BUDGET = 5 * 10 ** 11
 
 
 class NotAFrameError(ValueError):
@@ -102,29 +114,49 @@ def apply_signs(matrix, s: SignPattern) -> Matrix:
     return tuple(tuple(v * sg for v, sg in zip(row, s.signs)) for row in mat)
 
 
-def _check_frame(matrix) -> Matrix:
-    """The frame with its zero columns dropped.
+def _check_budget(mat: Matrix, ncols: int, count: int = 1) -> None:
+    """Refuse ``count`` eliminations of ``len(mat)`` x ``ncols`` blocks past the budget.
 
-    A zero column adds nothing to the measurements |<x, a_j>|, so dropping
-    it leaves the question unchanged; kept, it would make every pattern
-    equal to its flip at that column, and every test would fail.  The
-    column cap applies to the matrix as given.
+    An elimination of an n x N block of rank at most r = min(n, N) does
+    about n*N*r multiply-subtracts on integers that grow to about r*S bits,
+    where S bounds a row cleared of denominators: the bits of the lcm of
+    its denominators plus those of its longest numerator.  A product of
+    b-bit integers costs about b^2, so the measure is count*n*N*r*(r*S)^2.
+    Each lcm is abandoned once it is too long, so the check stays cheap on
+    any input.
     """
+    r = min(len(mat), ncols)
+    steps = count * len(mat) * ncols * r
+    if not steps:
+        return
+    limit = isqrt(ELIMINATION_BUDGET // steps) // r
+    for row in mat:
+        top, den = max(v.numerator.bit_length() for v in row), 1
+        for v in row:
+            den = lcm(den, v.denominator)
+            if den.bit_length() + top > limit:
+                raise ValueError(
+                    "%d x %d, eliminated %d time(s), exceeds the elimination budget "
+                    "(%d): rows cleared of denominators must fit in %d bits"
+                    % (len(mat), ncols, count, ELIMINATION_BUDGET, limit)
+                )
+
+
+def _reduced_supports(matrix) -> Tuple[Matrix, List[Set[int]]]:
+    """The matrix and, within the budget, the nonzero columns of each reduced echelon row."""
     mat = to_matrix(matrix)
-    n = len(mat)
-    if n == 0 or len(mat[0]) == 0:
-        raise NotAFrameError("a frame needs at least one row and one column")
-    ncols = len(mat[0])
-    if n < 2:
-        raise NotAFrameError("frames of interest live in dimension at least 2")
-    if ncols > SIGN_ENUMERATION_CAP:
-        raise ValueError(
-            "sign-pattern enumeration is capped at %d columns, got %d"
-            % (SIGN_ENUMERATION_CAP, ncols)
-        )
-    if exact_rank(mat) < n:
+    _check_budget(mat, len(mat[0]) if mat else 0)
+    return mat, [{j for j, v in enumerate(row) if v} for row in _echelon(mat).reduced()]
+
+
+def _check_frame(matrix) -> List[Set[int]]:
+    """The supports of the rows of the frame's reduced echelon form; its rank is their number."""
+    mat, rows = _reduced_supports(matrix)
+    if len(mat) < 2 or not mat[0]:
+        raise NotAFrameError("frames of interest have at least two rows and one column")
+    if len(rows) < len(mat):
         raise NotAFrameError("columns do not span: matrix is rank deficient")
-    return tuple(zip(*[col for col in zip(*mat) if any(col)]))
+    return rows
 
 
 def is_almost_phase_retrievable(matrix) -> bool:
@@ -135,21 +167,23 @@ def is_almost_phase_retrievable(matrix) -> bool:
     Right-multiplying the stack by D_s reduces the pair to the single
     pattern t = s*s', and with S the columns where t is +1,
     rank [A; A D_t] = rank A_S + rank A_{S^c}.  The test therefore fails
-    exactly when the columns split into two nonempty sets whose ranks sum
-    to n, that is when the column matroid is disconnected: it passes when
-    the columns linked through shared nonzero rows of the reduced echelon
-    form reach every column from the first.
+    exactly when the nonzero columns split into two nonempty sets whose
+    ranks sum to n, that is when the column matroid is disconnected: it
+    passes when the columns linked through shared nonzero rows of the
+    reduced echelon form reach every nonzero column.  A column of A is
+    zero exactly when its column of that form is, so the form serves both
+    questions, and its row count is the rank.  It takes one elimination
+    under the elimination budget and no column cap.
     """
-    mat = _check_frame(matrix)
-    rows = [{j for j, v in enumerate(row) if v} for row in _echelon(mat).reduced()]
-    component, frontier = set(), {0}
+    rows = _check_frame(matrix)
+    component, frontier = set(), rows[0]
     while frontier:
         component |= frontier
         frontier = set().union(*[row for row in rows if row & frontier]) - component
-    return len(component) == len(mat[0])
+    return component == set().union(*rows)
 
 
-def _canonical_rowspace(matrix: Matrix) -> Tuple[Tuple[Fraction, ...], ...]:
+def _canonical_rowspace(matrix: Matrix) -> Matrix:
     return tuple(_echelon(matrix).reduced())
 
 
@@ -179,10 +213,18 @@ def almost_pr_by_criterion(matrix, criterion: int) -> bool:
        range of the transpose.
 
     These exist for cross-checks and the command line; the reference
-    implementation is :func:`is_almost_phase_retrievable`.  Zero columns
-    are dropped first, as there.
+    implementation is :func:`is_almost_phase_retrievable`.  They enumerate
+    2^(N-1) sign patterns, so they refuse more than SIGN_ENUMERATION_CAP
+    columns as given, before any elimination; zero columns are then dropped.
     """
-    mat = _check_frame(matrix)
+    mat = to_matrix(matrix)
+    if mat and len(mat[0]) > SIGN_ENUMERATION_CAP:
+        raise ValueError(
+            "sign-pattern enumeration is capped at %d columns, got %d"
+            % (SIGN_ENUMERATION_CAP, len(mat[0]))
+        )
+    _check_frame(mat)
+    mat = tuple(zip(*[col for col in zip(*mat) if any(col)]))
     patterns = list(sign_patterns(len(mat[0])))
 
     if criterion == 2:
@@ -204,29 +246,31 @@ def is_weak_full_spark(matrix) -> bool:
 
     Removing column j lowers the rank exactly when j is a coloop: a pivot
     column whose row of the reduced echelon form has no other nonzero entry.
+    That form is built once, under the elimination budget.
     """
-    mat = to_matrix(matrix)
-    if not mat or not mat[0]:
-        return False
-    return all(sum(1 for v in row if v) > 1 for row in _echelon(mat).reduced())
+    mat, rows = _reduced_supports(matrix)
+    return bool(mat and mat[0]) and all(len(row) > 1 for row in rows)
 
 
 def is_full_spark(matrix) -> bool:
     """Whether every maximal square column submatrix is invertible.
 
-    That is one rank per n-column subset; like the sign-pattern tests, it
-    refuses to visit more than 2^SIGN_ENUMERATION_CAP column subsets.
+    That is one rank per n-column subset; it refuses to visit more than
+    2^SIGN_ENUMERATION_CAP column subsets, or subsets whose n x n
+    eliminations together exceed the elimination budget.
     """
     mat = to_matrix(matrix)
     n = len(mat)
     ncols = len(mat[0]) if mat else 0
     if ncols < n:
         raise ValueError("full spark needs at least as many columns as rows")
-    if comb(ncols, n) > 2 ** SIGN_ENUMERATION_CAP:
+    subsets = comb(ncols, n)
+    if subsets > 2 ** SIGN_ENUMERATION_CAP:
         raise ValueError(
             "full spark is capped at %d column subsets, got C(%d, %d) = %d"
-            % (2 ** SIGN_ENUMERATION_CAP, ncols, n, comb(ncols, n))
+            % (2 ** SIGN_ENUMERATION_CAP, ncols, n, subsets)
         )
+    _check_budget(mat, n, subsets)
     for cols in combinations(range(ncols), n):
         sub = tuple(tuple(row[c] for c in cols) for row in mat)
         if exact_rank(sub) != n:

@@ -186,9 +186,11 @@ def decode_matrix(payload) -> Tuple[Tuple[Fraction, ...], ...]:
     widths = {len(row) for row in mat}
     if len(widths) > 1:
         raise ValueError("matrix rows must all have the same length")
+    if not mat or not mat[0]:
+        raise ValueError("a matrix needs at least one row and one column")
     if "rows" in payload and payload["rows"] != len(mat):
         raise ValueError("row count does not match entries")
-    if "cols" in payload and mat and payload["cols"] != len(mat[0]):
+    if "cols" in payload and payload["cols"] != len(mat[0]):
         raise ValueError("column count does not match entries")
     return mat
 

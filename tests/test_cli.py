@@ -16,6 +16,7 @@ import pytest
 
 from conftest import CAPPED_21
 from splinephase import SampleSet, SplineFunction, eval_spline, is_local_phaseless, verify_modulus_agreement
+from splinephase import families
 from splinephase.bspline import MAX_DEGREE
 from splinephase.cli import MAX_PROBES, main
 from splinephase.jsonio import decode_spline
@@ -117,6 +118,18 @@ class TestGen:
         assert code == 2
         code, _, err = run_cli(capsys, ["gen", "--family", "arithmetic", "--alpha", "1e-999999999"])
         assert code == 2 and "exponent" in err
+
+    def test_family_size_cap(self):
+        # Checked before any point is built: K, K + 2(m+1), and alpha's denominator.
+        cap = families.MAX_POINTS
+        for build in (
+            lambda: families.uniform(0, 1, cap + 1),
+            lambda: families.example2(0, 4, cap - 3, 1),
+            lambda: families.arithmetic(F(3, cap + 1)),
+        ):
+            with pytest.raises(ValueError, match="capped at %d points, got %d" % (cap, cap + 1)):
+                build()
+        assert len(families.example2(0, 4, 12, 1)) == 16
 
 
 class TestPipeline:
@@ -352,14 +365,14 @@ class TestInputErrors:
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
     def test_sign_patterns_beyond_the_cap_exit_two_promptly(self, tmp_path):
-        # The column cap comes before the rank of this 100 x 200 matrix.
+        # The elimination budget comes before the rank of this 100 x 200 matrix.
         path = write_json(tmp_path, "m.json", {"entries": random_rational_entries(random.Random(5), 100, 200)})
         start = time.perf_counter()
         done = run_process(["frame-check", "--criterion", "4", "--input", path])
         assert time.perf_counter() - start < 1.0
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
-        assert "capped at 14 columns, got 200" in done.stderr
+        assert "100 x 200, eliminated 1 time(s), exceeds the elimination budget" in done.stderr
 
     def test_degree_beyond_the_cap_exits_two_promptly(self, tmp_path):
         # B-spline values recurse m levels deep and rows hold w + m entries.
@@ -370,6 +383,29 @@ class TestInputErrors:
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
         assert "at most %d, got 600" % MAX_DEGREE in done.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--family", "uniform", "--n1", "0", "--n2", "1", "--k", "1000000000"],
+            ["--family", "arithmetic", "--alpha", "1/1000000000"],
+        ],
+        ids=["uniform", "arithmetic"],
+    )
+    def test_family_beyond_the_cap_exits_two_promptly(self, argv):
+        start = time.perf_counter()
+        done = run_process(["gen"] + argv)
+        assert time.perf_counter() - start < 1.0
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == "error: families are capped at %d points, got 1000000000\n" % families.MAX_POINTS
+
+    @pytest.mark.parametrize("criterion", ["2", "3", "4", "5", "spark", "weak-spark"])
+    def test_empty_matrix_exits_two(self, capsys, tmp_path, criterion):
+        for entries in ([], [[]], [[], []]):
+            path = write_json(tmp_path, "m.json", {"entries": entries})
+            code, out, err = run_cli(capsys, ["frame-check", "--criterion", criterion, "--input", path])
+            assert code == 2 and out == ""
+            assert err == "error: a matrix needs at least one row and one column\n"
 
     def test_scan_beyond_the_cap_exits_two(self, capsys, tmp_path):
         from splinephase.sequences import MAX_SCAN_WIDTH
@@ -388,6 +424,59 @@ class TestWideFrames:
         done = run_process(["frame-check", "--criterion", "weak-spark", "--input", path], timeout=5)
         assert done.returncode == 0 and done.stderr == ""
         assert json.loads(done.stdout) == {"criterion": "weak-spark", "verdict": True}
+
+    def test_reference_test_decides_a_wide_frame_promptly(self, tmp_path):
+        # 200 columns, past the enumeration cap: the reference test enumerates nothing.
+        path = write_json(tmp_path, "m.json", {"entries": random_rational_entries(random.Random(11), 6, 200)})
+        start = time.perf_counter()
+        done = run_process(["frame-check", "--criterion", "4", "--input", path])
+        assert time.perf_counter() - start < 1.0
+        assert done.returncode in (0, 1) and done.stderr == ""
+        assert json.loads(done.stdout)["verdict"] == (done.returncode == 0)
+
+    def test_enumerating_criteria_keep_the_column_cap(self, tmp_path):
+        path = write_json(tmp_path, "m.json", {"entries": random_rational_entries(random.Random(13), 2, 15)})
+        done = run_process(["frame-check", "--criterion", "2", "--input", path])
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == "error: sign-pattern enumeration is capped at 14 columns, got 15\n"
+
+
+def twenty_digit_entries(rng, nrows, ncols):
+    return [
+        ["%d/%d" % (rng.randint(10**19, 10**20 - 1), rng.randint(10**19, 10**20 - 1)) for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+
+
+class TestEliminationBudget:
+    @pytest.mark.parametrize("criterion", ["4", "weak-spark"])
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            # Each takes seconds to reduce: one-digit entries, then 20-digit ones.
+            random_rational_entries(random.Random(5), 100, 200),
+            twenty_digit_entries(random.Random(17), 16, 32),
+        ],
+        ids=["100x200", "16x32-20-digit"],
+    )
+    def test_refused_before_any_elimination(self, tmp_path, criterion, entries):
+        path = write_json(tmp_path, "m.json", {"entries": entries})
+        start = time.perf_counter()
+        done = run_process(["frame-check", "--criterion", criterion, "--input", path])
+        assert time.perf_counter() - start < 1.0
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "exceeds the elimination budget" in done.stderr
+
+    def test_full_spark_of_large_minors_exits_two_promptly(self, tmp_path):
+        # Only C(201, 200) = 201 subsets, but each is a 200 x 200 elimination.
+        path = write_json(tmp_path, "m.json", {"entries": random_rational_entries(random.Random(19), 200, 201)})
+        start = time.perf_counter()
+        done = run_process(["frame-check", "--criterion", "spark", "--input", path])
+        assert time.perf_counter() - start < 1.0
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "200 x 200, eliminated 201 time(s), exceeds the elimination budget" in done.stderr
 
 
 class TestWideWindows:

@@ -95,13 +95,16 @@ class TestAlmostPhaseRetrievable:
             is_almost_phase_retrievable(((F(1), F(2)),))
 
     def test_column_cap(self):
+        # Only the enumerating criteria are capped, and they count the
+        # columns as given, zero columns included; the reference test
+        # decides both frames.
         wide = (tuple(F(1) for _ in range(15)), tuple(F(i) for i in range(15)))
-        with pytest.raises(ValueError):
-            is_almost_phase_retrievable(wide)
-        # The cap counts the columns as given, zero columns included.
         padded = tuple(row[:14] + (F(0),) for row in wide)
-        with pytest.raises(ValueError):
-            is_almost_phase_retrievable(padded)
+        for mat in (wide, padded):
+            assert is_almost_phase_retrievable(mat)
+            for criterion in (2, 3, 4, 5):
+                with pytest.raises(ValueError, match="capped at 14 columns, got 15"):
+                    almost_pr_by_criterion(mat, criterion)
 
     def test_zero_columns_measure_nothing(self):
         # {e1, e2, e1+e2} is phase retrievable in R^2; a zero column, first
@@ -140,6 +143,28 @@ class TestAlmostPhaseRetrievable:
                 assert weak
             if ncols == n + 1:
                 assert pr == weak
+
+
+class TestOneElimination:
+    def test_reference_and_weak_spark_tests_build_one_echelon_each(self, monkeypatch):
+        from splinephase import collocation
+
+        built = []
+
+        class Counted(collocation._Echelon):
+            def __init__(self):
+                super().__init__()
+                built.append(self)
+
+        monkeypatch.setattr(collocation, "_Echelon", Counted)
+        rng = random.Random(204)
+        frames = [random_frame(rng, rng.randint(2, 4), rng.randint(4, 20)) for _ in range(10)]
+        frames.append((FULL_SPARK_2x3[0] + (F(0),), FULL_SPARK_2x3[1] + (F(0),)))
+        for test in (is_almost_phase_retrievable, is_weak_full_spark):
+            for mat in frames:
+                built.clear()
+                test(mat)
+                assert len(built) == 1, (test.__name__, mat)
 
 
 class TestSparkTests:
